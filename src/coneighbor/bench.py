@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError
-from .harness import stack_pair_features, feature_tables
+from .data import SplitSpec
+from .harness import feature_tables, replay_train, stack_pair_features
 from .history import HistoryStore
 from .memory import TemporalDiverseMemory
 from .synthetic import random_stream
@@ -80,19 +81,14 @@ def _fit_axis(axis: str, values, seconds) -> AxisResult:
                       float(slope), float(intercept), float(f[0] / f[1]))
 
 
-def _prepare(num_nodes: int, num_events: int, seq_len: int,
-             long_width: int, short_width: int, seed: int):
+def _prepare(num_nodes: int, num_events: int, cfg: RunConfig, seed: int):
     """Replay a random stream so history and memory hold realistic state."""
     g = random_stream(num_nodes, num_events, seed=seed)
     hist = HistoryStore(g.num_nodes)
-    tdm = TemporalDiverseMemory.from_seed(g.num_nodes, long_width,
-                                          short_width, seed)
-    for i in range(g.num_events):
-        u, v, t = int(g.src[i]), int(g.dst[i]), float(g.t[i])
-        squ = hist.recent_sequence(u, t, seq_len)
-        sqv = hist.recent_sequence(v, t, seq_len)
-        tdm.apply_link_update(u, v, squ, sqv)
-        hist.record(u, v, t, i)
+    tdm = TemporalDiverseMemory.from_seed(g.num_nodes, cfg.long_size,
+                                          cfg.short_size, seed)
+    whole = SplitSpec(g.num_events, g.num_events, g.num_events)
+    replay_train(g, whole, tdm, hist, cfg)
     return g, hist, tdm
 
 
@@ -121,9 +117,8 @@ def run_bench(batch_size: int = 200, num_nodes: int = 400,
     base = RunConfig()
 
     # sequence-length axis: fixed width, growing window
-    fixed_w, fixed_s = base.long_size, base.short_size
-    g, hist, tdm = _prepare(num_nodes, num_events, max(seq_lens),
-                            fixed_w, fixed_s, seed)
+    g, hist, tdm = _prepare(num_nodes, num_events,
+                            base.replace(seq_len=int(max(seq_lens))), seed)
     batch = rng.integers(0, g.num_events, size=batch_size)
     seq_secs = []
     for L in seq_lens:
@@ -136,8 +131,7 @@ def run_bench(batch_size: int = 200, num_nodes: int = 400,
     for M in widths:
         M = int(M)
         cfg = base.replace(seq_len=20, long_size=M, short_size=max(1, M // 4))
-        g2, hist2, tdm2 = _prepare(num_nodes, num_events, cfg.seq_len,
-                                   cfg.long_size, cfg.short_size, seed)
+        g2, hist2, tdm2 = _prepare(num_nodes, num_events, cfg, seed)
         width_secs.append(_time_encoding(g2, hist2, tdm2, cfg, batch, repeats))
     width_axis = _fit_axis("hashtable_size", widths, width_secs)
 

@@ -88,6 +88,8 @@ class TemporalGraph:
             raise EmptyInputError("event stream is empty")
         if not (self.dst.shape == (E,) and self.t.shape == (E,)):
             raise SchemaError("src/dst/t length mismatch")
+        if not np.all(np.isfinite(self.t)):
+            raise DataError("timestamps must be finite")
         if np.any(np.diff(self.t) < 0):
             raise DataError("timestamps are not non-decreasing")
         lo = min(self.src.min(), self.dst.min())

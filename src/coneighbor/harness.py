@@ -117,14 +117,11 @@ def _apply_batch_updates(g: TemporalGraph, cfg: RunConfig,
                          tdm: TemporalDiverseMemory, hist: HistoryStore,
                          ev: np.ndarray, squ: NeighborSequenceBatch,
                          sqv: NeighborSequenceBatch) -> None:
-    src, dst, t = g.src[ev], g.dst[ev], g.t[ev]
-    for j in range(ev.shape[0]):
-        tdm.apply_link_update(int(src[j]), int(dst[j]),
-                              squ.row(j), sqv.row(j),
-                              two_order=not cfg.no_tup,
-                              neighbor_update=not cfg.no_nup,
-                              update_short=not cfg.no_td)
-    hist.record_batch(src, dst, t, ev)
+    src, dst = g.src[ev], g.dst[ev]
+    tdm.apply_link_update(src, dst, squ, sqv, two_order=not cfg.no_tup,
+                          neighbor_update=not cfg.no_nup,
+                          update_short=not cfg.no_td)
+    hist.record_batch(src, dst, g.t[ev], ev)
 
 
 def train_epoch(g: TemporalGraph, split: SplitSpec,

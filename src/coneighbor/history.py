@@ -9,7 +9,6 @@ event being predicted or anything simultaneous with it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,30 +54,81 @@ class NeighborSequenceBatch:
 
 
 class HistoryStore:
-    """Append-only per-node logs with monotone-timestamp enforcement."""
+    """Append-only interaction log with monotone-timestamp enforcement.
+
+    The log is four parallel arrays, one entry per (node, event) side:
+    the peer, the time, the edge index and ``prev``, the same node's
+    previous entry (-1 at its first).  ``head`` holds each node's newest
+    entry, so a node's history is the chain head -> prev -> ... in
+    newest-first order.  Capacity doubles as the log fills.
+    """
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
         self.sentinel = num_nodes
-        self._peers: list[list[int]] = [[] for _ in range(num_nodes)]
-        self._times: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._eidx: list[list[int]] = [[] for _ in range(num_nodes)]
+        self._size = 0
+        self._peer = np.empty(0, dtype=np.int64)
+        self._t = np.empty(0, dtype=np.float64)
+        self._eidx = np.empty(0, dtype=np.int64)
+        self._prev = np.empty(0, dtype=np.int64)
+        self._head = np.full(num_nodes, -1, dtype=np.int64)
+        self._degree = np.zeros(num_nodes, dtype=np.int64)
 
     def record(self, u: int, v: int, t: float, edge_idx: int) -> None:
         """Append the interaction to both endpoint logs."""
-        for a in (u, v):
-            times = self._times[a]
-            if times and t < times[-1]:
-                raise OrderingError(
-                    f"event at t={t} precedes node {a}'s last t={times[-1]}")
-        for a, b in ((u, v), (v, u)):
-            self._peers[a].append(b)
-            self._times[a].append(t)
-            self._eidx[a].append(edge_idx)
+        self.record_batch([u], [v], [t], [edge_idx])
 
     def record_batch(self, src, dst, t, edge_idx) -> None:
-        for u, v, ts, ei in zip(src, dst, t, edge_idx):
-            self.record(int(u), int(v), float(ts), int(ei))
+        """Append a batch of interactions in order, both sides of each.
+
+        Raises OrderingError, and records nothing, if some node's times
+        would decrease, against its stored entries or within the batch.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        # log order: event by event, the src side before the dst side
+        owner = np.stack([src, dst], axis=1).ravel()
+        n = owner.size
+        lo, end = self._size, self._size + n
+        self._reserve(end)
+        self._peer[lo:end] = np.stack([dst, src], axis=1).ravel()
+        self._t[lo:end] = np.repeat(np.asarray(t, dtype=np.float64), 2)
+        self._eidx[lo:end] = np.repeat(np.asarray(edge_idx, dtype=np.int64), 2)
+
+        # each entry's predecessor is the node's entry before it in the
+        # batch, else the node's stored head
+        order = np.argsort(owner, kind="stable")
+        o_owner, o_pos = owner[order], lo + order
+        first = np.ones(n, dtype=bool)
+        first[1:] = o_owner[1:] != o_owner[:-1]
+        last = np.ones(n, dtype=bool)
+        last[:-1] = first[1:]
+        prev = np.empty(n, dtype=np.int64)
+        prev[1:] = o_pos[:-1]
+        prev[first] = self._head[o_owner[first]]
+        bad = np.flatnonzero((prev >= 0) & (self._t[o_pos] < self._t[prev]))
+        if bad.size:
+            k = bad[0]
+            raise OrderingError(
+                f"event at t={self._t[o_pos[k]]} precedes node "
+                f"{o_owner[k]}'s last t={self._t[prev[k]]}")
+        # the entries written above stay invisible until the heads move
+        self._prev[o_pos] = prev
+        self._head[o_owner[last]] = o_pos[last]
+        self._degree[o_owner[first]] += (np.flatnonzero(last)
+                                         - np.flatnonzero(first) + 1)
+        self._size = end
+
+    def _reserve(self, size: int) -> None:
+        cap = self._t.shape[0]
+        if size <= cap:
+            return
+        cap = max(size, 2 * cap)
+        for name in ("_peer", "_t", "_eidx", "_prev"):
+            old = getattr(self, name)
+            new = np.empty(cap, dtype=old.dtype)
+            new[:self._size] = old[:self._size]
+            setattr(self, name, new)
 
     def recent_sequence(self, anchor: int, t: float, length: int) -> NeighborSequence:
         return self.recent_batch([anchor], [t], length).row(0)
@@ -98,32 +148,40 @@ class HistoryStore:
         valid = np.zeros((B, length), dtype=bool)
         peers[:, 0] = anchors
         valid[:, 0] = True
-        for i in range(B):
-            a, qt = int(anchors[i]), float(ts[i])
-            times = self._times[a]
-            end = bisect_left(times, qt)
-            k = min(length - 1, end)
-            if k:
-                stop = end - 1 - k
-                sel = slice(end - 1, stop if stop >= 0 else None, -1)  # newest first
-                peers[i, 1:1 + k] = self._peers[a][sel]
-                dt[i, 1:1 + k] = qt - np.asarray(times[sel])
-                eidx[i, 1:1 + k] = self._eidx[a][sel]
-                valid[i, 1:1 + k] = True
+        cur = self._head[anchors]
+        # skip entries at or after the query time, ties included; a node's
+        # times never decrease, so every entry behind them is strictly earlier
+        late = np.flatnonzero(cur >= 0)
+        while late.size:
+            late = late[self._t[cur[late]] >= ts[late]]
+            cur[late] = self._prev[cur[late]]
+            late = late[cur[late] >= 0]
+        live = np.flatnonzero(cur >= 0)
+        for k in range(1, length):
+            if not live.size:
+                break
+            e = cur[live]
+            peers[live, k] = self._peer[e]
+            dt[live, k] = ts[live] - self._t[e]
+            eidx[live, k] = self._eidx[e]
+            valid[live, k] = True
+            cur[live] = self._prev[e]
+            live = live[cur[live] >= 0]
         return NeighborSequenceBatch(anchors, ts, peers, dt, eidx, valid)
 
     def degree(self, node: int) -> int:
-        return len(self._peers[node])
+        return int(self._degree[node])
 
-    def snapshot(self) -> list[int]:
-        """Log lengths suffice: logs are append-only."""
-        return [len(p) for p in self._peers]
+    def snapshot(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Log length, heads and degrees suffice: the log is append-only."""
+        return self._size, self._head.copy(), self._degree.copy()
 
-    def restore(self, lengths: list[int]) -> None:
-        for node, n in enumerate(lengths):
-            del self._peers[node][n:]
-            del self._times[node][n:]
-            del self._eidx[node][n:]
+    def restore(self, snap: tuple[int, np.ndarray, np.ndarray]) -> None:
+        self._size = snap[0]
+        np.copyto(self._head, snap[1])
+        np.copyto(self._degree, snap[2])
 
     def reset(self) -> None:
-        self.restore([0] * self.num_nodes)
+        self._size = 0
+        self._head.fill(-1)
+        self._degree.fill(0)

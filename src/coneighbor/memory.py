@@ -66,13 +66,19 @@ class HashTableMemory:
     def insert_many(self, owner: int, neighbors: np.ndarray) -> None:
         """Insert in order; on slot collisions the later neighbor survives."""
         neighbors = np.asarray(neighbors, dtype=np.int64)
-        # numpy fancy assignment writes in index order, so duplicates of a
-        # slot keep the last value, exactly matching a sequential loop.
-        self.table[owner, self.slot_of(neighbors)] = neighbors
+        self.write(np.full(neighbors.shape, owner, dtype=np.int64), neighbors)
 
-    def scatter(self, owners: np.ndarray, value: int) -> None:
-        """Insert the same neighbor into many rows (neighbor-update rule)."""
-        self.table[np.asarray(owners, dtype=np.int64), self.slot_of(value)] = value
+    def write(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Write values[i] into row rows[i] in order of i.
+
+        Where several writes hit the same slot the last one wins.  That is
+        resolved here by keeping the last occurrence of each slot, not left
+        to numpy's unspecified order for duplicate fancy-assignment indices.
+        """
+        lin = rows * self.width + self.slot_of(values)
+        _, first_rev = np.unique(lin[::-1], return_index=True)
+        last = lin.size - 1 - first_rev
+        self.table.reshape(-1)[lin[last]] = values[last]
 
     def co_count(self, a: int, b: int, mode: str = MATCH_PAPER) -> int:
         _check_mode(mode)
@@ -206,30 +212,40 @@ class TemporalDiverseMemory:
 
     # -- writes --------------------------------------------------------
 
-    def apply_link_update(self, u: int, v: int, seq_u: NeighborSequence,
-                          seq_v: NeighborSequence, two_order: bool = True,
+    def apply_link_update(self, u, v, seq_u, seq_v, two_order: bool = True,
                           neighbor_update: bool = True,
                           update_short: bool = True) -> None:
-        """Write one observed link into the sketches.
+        """Write a batch of observed links into the sketches.
 
-        Rule order is fixed: (1) each endpoint learns the other; (2) each
+        u and v are (B,) endpoint ids and seq_u, seq_v their windows from
+        before the batch (a NeighborSequenceBatch, or a NeighborSequence
+        with scalar ids for a batch of one).  The writes are exactly those
+        of applying the links one by one in stream order.  Per link the
+        rule order is fixed: (1) each endpoint learns the other; (2) each
         endpoint learns the other's sampled past partners; (3) those past
-        partners learn the new endpoint.  Later writes win slot conflicts.
+        partners learn the new endpoint.  Within a rule, window order;
+        position 0 (the anchor itself) and padding are skipped.  Later
+        writes win slot conflicts.
         """
-        peers_u = _valid_nonself_peers(seq_u)
-        peers_v = _valid_nonself_peers(seq_v)
-        targets = (self.long, self.short) if update_short else (self.long,)
-        for mem in targets:
-            mem.insert(u, v)
-            mem.insert(v, u)
-            if two_order:
-                mem.insert_many(u, peers_v)
-                mem.insert_many(v, peers_u)
-            if neighbor_update:
-                if peers_u.size:
-                    mem.scatter(peers_u, v)
-                if peers_v.size:
-                    mem.scatter(peers_v, u)
+        u = np.atleast_1d(np.asarray(u, dtype=np.int64))[:, None]
+        v = np.atleast_1d(np.asarray(v, dtype=np.int64))[:, None]
+        pu = np.atleast_2d(seq_u.peers)[:, 1:]
+        pv = np.atleast_2d(seq_v.peers)[:, 1:]
+        ku = np.atleast_2d(seq_u.valid)[:, 1:]
+        kv = np.atleast_2d(seq_v.valid)[:, 1:]
+        uu = np.broadcast_to(u, pv.shape)
+        vv = np.broadcast_to(v, pu.shape)
+        one = np.ones(u.shape, dtype=bool)
+        # one column block per rule; row-major flattening keeps links in
+        # stream order and, within a link, rules and windows in order
+        rows = np.concatenate([u, v, uu, vv, pu, pv], axis=1)
+        vals = np.concatenate([v, u, pv, pu, vv, uu], axis=1)
+        keep = np.concatenate([one, one, kv & two_order, ku & two_order,
+                               ku & neighbor_update, kv & neighbor_update],
+                              axis=1)
+        rows, vals = rows[keep], vals[keep]
+        for mem in (self.long, self.short) if update_short else (self.long,):
+            mem.write(rows, vals)
 
     def reset(self) -> None:
         self.long.reset()

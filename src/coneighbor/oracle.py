@@ -2,11 +2,12 @@
 
 Each check replays one random stream twice in lockstep, once into the
 width-limited sketches and once into an unbounded-set log, using the
-identical update schema.  At checkpoints it compares strict-mode slot
-counts with exact intersection sizes for every node pair whose inserted
-ids map injectively to slots; under injectivity no overwrite ever fired,
-so the sketch must agree exactly.  Non-injective pairs are where the
-sketch is allowed to degrade; they are counted and reported, not asserted.
+identical update schema and the same pre-batch windows.  At checkpoints
+it compares strict-mode slot counts with exact intersection sizes for
+every node pair whose inserted ids map injectively to slots; under
+injectivity no overwrite ever fired, so the sketch must agree exactly.
+Non-injective pairs are where the sketch is allowed to degrade; they are
+counted and reported, not asserted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MATCH_STRICT
+from .config import MATCH_STRICT, RunConfig
 from .history import HistoryStore
 from .memory import ExactNeighborLog, TemporalDiverseMemory, slot_injective
 from .synthetic import random_stream
@@ -69,18 +70,24 @@ def check_stream(num_nodes: int, num_events: int, long_width: int,
     log = ExactNeighborLog(g.num_nodes)
     report = StreamReport(seed, g.num_nodes, g.num_events,
                           long_width, short_width)
-    stops = set(int(x) for x in
-                np.linspace(0, g.num_events - 1, checkpoints + 1)[1:])
-    for i in range(g.num_events):
-        u, v, t = int(g.src[i]), int(g.dst[i]), float(g.t[i])
-        squ = hist.recent_sequence(u, t, seq_len)
-        sqv = hist.recent_sequence(v, t, seq_len)
+    E = g.num_events
+    stops = np.unique(np.linspace(0, E - 1, checkpoints + 1)[1:].astype(int))
+    # replay in batches as the harness does, cutting one after each audit
+    cuts = np.union1d(np.r_[np.arange(0, E, RunConfig().batch_size), E],
+                      stops + 1)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ev = np.arange(lo, hi)
+        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
+        squ = hist.recent_batch(u, t, seq_len)
+        sqv = hist.recent_batch(v, t, seq_len)
         tdm.apply_link_update(u, v, squ, sqv, two_order=two_order,
                               neighbor_update=neighbor_update)
-        log.apply_link_update(u, v, squ, sqv, two_order=two_order,
-                              neighbor_update=neighbor_update)
-        hist.record(u, v, t, i)
-        if i in stops:
+        for j in range(ev.size):
+            log.apply_link_update(int(u[j]), int(v[j]), squ.row(j),
+                                  sqv.row(j), two_order=two_order,
+                                  neighbor_update=neighbor_update)
+        hist.record_batch(u, v, t, ev)
+        if hi - 1 in stops:
             _audit_pairs(tdm, log, report)
     return report
 

@@ -1,8 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from coneighbor.data import from_arrays
-from coneighbor.synthetic import random_stream
+# pin BLAS to one thread before numpy loads: the timing gates must not
+# depend on how many other BLAS threads share the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from coneighbor.data import from_arrays  # noqa: E402
+from coneighbor.synthetic import random_stream  # noqa: E402
 
 
 @pytest.fixture

@@ -79,6 +79,11 @@ class TestLoadEvents:
         np.testing.assert_array_equal(g.src, [1, 0])
         np.testing.assert_array_equal(g.dst, [2, 1])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, bad):
+        with pytest.raises(DataError):
+            load_events(write(tmp_path, f"0,1,1.0\n1,2,{bad}\n2,0,2.0\n"))
+
     def test_dense_ids_keep_identity(self, tmp_path):
         g = load_events(write(tmp_path, "0,1,1.0\n2,0,2.0\n"))
         assert g.id_map is None
@@ -215,3 +220,9 @@ def test_from_arrays_invariants(num_nodes, num_events, seed):
 def test_negative_node_ids_rejected():
     with pytest.raises(DataError):
         from_arrays([-1, 0], [0, 1], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_timestamps_rejected(bad):
+    with pytest.raises(DataError):
+        from_arrays([0, 1, 2], [1, 2, 0], [1.0, bad, 2.0])

@@ -198,18 +198,18 @@ class TestCausalityAudit:
         cfg = tiny_cfg(epochs=1, batch_size=100)
         calls = []
         orig_batch = HistoryStore.recent_batch
-        orig_record = HistoryStore.record
+        orig_record = HistoryStore.record_batch
 
         def spy_batch(self, anchors, ts, length):
             calls.append("s")
             return orig_batch(self, anchors, ts, length)
 
-        def spy_record(self, u, v, t, eidx):
+        def spy_record(self, src, dst, t, eidx):
             calls.append("u")
-            return orig_record(self, u, v, t, eidx)
+            return orig_record(self, src, dst, t, eidx)
 
         monkeypatch.setattr(HistoryStore, "recent_batch", spy_batch)
-        monkeypatch.setattr(HistoryStore, "record", spy_record)
+        monkeypatch.setattr(HistoryStore, "record_batch", spy_record)
         split, tdm, hist = fresh_state(g, cfg)
         dims = ModelDims(0, 0, cfg.time_dim, cfg.hidden, cfg.out_dim,
                          cfg.layers)

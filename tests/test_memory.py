@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
 from coneighbor.errors import ConfigError, ProtocolError, SnapshotError
-from coneighbor.history import HistoryStore, NeighborSequence
+from coneighbor.history import (HistoryStore, NeighborSequence,
+                                NeighborSequenceBatch)
 from coneighbor.memory import (ExactNeighborLog, HashTableMemory, MemoryImage,
                                TemporalDiverseMemory, check_slot_consistency,
                                exact_common_neighbors, slot_injective)
@@ -278,6 +279,66 @@ class TestLinkUpdate:
                               update_short=False)
         assert (tdm.short.table == tdm.short.sentinel).all()
         assert (tdm.long.table != tdm.long.sentinel).sum() == 2
+
+
+def _insert_one_by_one(tdm, u, v, seq_u, seq_v, two_order, neighbor_update,
+                       update_short):
+    """Reference: one link's writes as scalar inserts, in rule order."""
+    peers_u = seq_u.peers[1:][seq_u.valid[1:]]
+    peers_v = seq_v.peers[1:][seq_v.valid[1:]]
+    writes = [(u, v), (v, u)]
+    if two_order:
+        writes += [(u, int(j)) for j in peers_v] + [(v, int(i)) for i in peers_u]
+    if neighbor_update:
+        writes += [(int(i), v) for i in peers_u] + [(int(j), u) for j in peers_v]
+    for mem in tdm.tables() if update_short else (tdm.long,):
+        for row, val in writes:
+            mem.insert(row, val)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 12), st.integers(1, 5),
+       st.integers(1, 5), st.sampled_from([(2, 1), (4, 2), (8, 2), (16, 4)]),
+       st.booleans(), st.booleans(), st.booleans())
+def test_batched_update_equals_event_loop(seed, B, len_u, len_v, widths,
+                                          two_order, neighbor_update,
+                                          update_short):
+    """One batched call writes exactly what a loop of one-link calls does.
+
+    Six ids and tables a few slots wide force slot collisions, repeated
+    endpoints within the batch and self-loops; windows carry padding.
+    """
+    n = 6
+    r = np.random.default_rng(seed)
+    u, v = r.integers(n, size=B), r.integers(n, size=B)
+
+    def windows(anchors, length):
+        peers = r.integers(n, size=(B, length))
+        valid = r.random((B, length)) < 0.7
+        peers[:, 0], valid[:, 0] = anchors, True
+        peers[~valid] = n
+        return NeighborSequenceBatch(anchors, np.zeros(B), peers,
+                                     np.zeros((B, length)),
+                                     np.full((B, length), -1), valid)
+
+    squ, sqv = windows(u, len_u), windows(v, len_v)
+    flags = dict(two_order=two_order, neighbor_update=neighbor_update,
+                 update_short=update_short)
+    batched, looped, ref = (TemporalDiverseMemory(n, *widths, 3, 5)
+                            for _ in range(3))
+    for row, val in r.integers(n, size=(20, 2)):   # same non-empty start
+        for tdm in (batched, looped, ref):
+            for mem in tdm.tables():
+                mem.insert(int(row), int(val))
+    batched.apply_link_update(u, v, squ, sqv, **flags)
+    for j in range(B):
+        looped.apply_link_update(int(u[j]), int(v[j]), squ.row(j),
+                                 sqv.row(j), **flags)
+        _insert_one_by_one(ref, int(u[j]), int(v[j]), squ.row(j),
+                           sqv.row(j), **flags)
+    for other in (looped, ref):
+        np.testing.assert_array_equal(batched.long.table, other.long.table)
+        np.testing.assert_array_equal(batched.short.table, other.short.table)
 
 
 class TestShortLongDivergence:
