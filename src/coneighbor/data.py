@@ -136,47 +136,50 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
     events sharing a timestamp keep their file order.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
-        rows = list(reader)
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]   # keep line numbers
-    if not rows:
-        raise EmptyInputError(f"{path}: no rows")
-
     has_header = fmt.has_header
-    if has_header is None:
-        has_header = _sniff_header(rows[0][1])
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise EmptyInputError(f"{path}: header only, no events")
-
-    ncols = len(rows[0][1])
-    if ncols < 3:
-        raise SchemaError(f"{path}: need at least src,dst,t columns, got {ncols}")
-    has_label = fmt.label_column
-    if has_label is None:
-        has_label = ncols >= 4
-    feat_start = 4 if has_label else 3
-    if has_label and ncols < 4:
-        raise SchemaError(f"{path}: label column requested but only {ncols} columns")
-
+    seen_row = False
+    ncols = None
     src, dst, ts, feats = [], [], [], []
-    for line_no, row in rows:
-        if len(row) != ncols:
-            raise SchemaError(
-                f"{path}: line {line_no}: expected {ncols} columns, got {len(row)}")
-        try:
-            src.append(int(float(row[0])))
-            dst.append(int(float(row[1])))
-            ts.append(float(row[2]))
-            feats.append([float(c) for c in row[feat_start:]])
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+    with path.open(newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh, delimiter=fmt.delimiter), 1):
+            if not row:
+                continue
+            if not seen_row:
+                seen_row = True
+                if has_header is None:
+                    has_header = _sniff_header(row)
+                if has_header:
+                    continue
+            if ncols is None:
+                ncols = len(row)
+                if ncols < 3:
+                    raise SchemaError(
+                        f"{path}: need at least src,dst,t columns, got {ncols}")
+                has_label = fmt.label_column
+                if has_label is None:
+                    has_label = ncols >= 4
+                if has_label and ncols < 4:
+                    raise SchemaError(
+                        f"{path}: label column requested but only {ncols} columns")
+                feat_start = 4 if has_label else 3
+            if len(row) != ncols:
+                raise SchemaError(
+                    f"{path}: line {line_no}: expected {ncols} columns, got {len(row)}")
+            try:
+                src.append(int(float(row[0])))
+                dst.append(int(float(row[1])))
+                ts.append(float(row[2]))
+                feats.append([float(c) for c in row[feat_start:]])
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+    if not seen_row:
+        raise EmptyInputError(f"{path}: no rows")
+    if ncols is None:
+        raise EmptyInputError(f"{path}: header only, no events")
 
     edge_feats = np.asarray(feats, dtype=np.float64)
     if edge_feats.size == 0:
-        edge_feats = np.zeros((len(rows), 0), dtype=np.float64)
+        edge_feats = np.zeros((len(src), 0), dtype=np.float64)
     return from_arrays(np.asarray(src, dtype=np.int64),
                        np.asarray(dst, dtype=np.int64),
                        np.asarray(ts, dtype=np.float64),

@@ -4,9 +4,9 @@ The discipline is predict-then-update: within a batch every score is
 computed against memory and history state from before the batch, then the
 batch's positive events are written back in stream order.  Epochs reset
 the state and replay the stream from the start.  Because the state only
-depends on the event stream (never on model parameters), the post-train
-state is identical in every epoch, which lets the driver advance through
-validation into test once with the best parameters.
+depends on the event stream (never on model parameters), the post-val
+state is identical in every epoch, which lets ``run`` score test with the
+best parameters straight from the last epoch's validation pass.
 
 Evaluation keeps evolving the state through val and test events (stale
 neighborhoods would otherwise degrade test scores) but snapshots and
@@ -273,8 +273,10 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
         hist.reset()
         tr = train_epoch(g, split, tdm, hist, predictor, params, adam, cfg,
                          epoch, ft, train_pool)
+        # keep the post-val state: the next epoch resets it, and after the
+        # last epoch the test phase starts from it
         vm = evaluate(g, split, tdm, hist, predictor, params, cfg, VAL,
-                      ft, eval_pool, keep_state=False)
+                      ft, eval_pool, keep_state=True)
         epochs.append(epoch)
         train_loss.append(tr.loss)
         val_ap.append(vm.ap)
@@ -290,10 +292,8 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
     final = best_params if best_params is not None else params
     if checkpoint_path is not None:
         save_params(checkpoint_path, final, dims)
-    # state is the post-train replay of the last epoch; replays are
+    # state is the post-val replay of the last epoch; replays are
     # parameter-independent, so it matches the best epoch's state exactly
-    evaluate(g, split, tdm, hist, predictor, final, cfg, VAL,
-             ft, eval_pool, keep_state=True)
     tm = evaluate(g, split, tdm, hist, predictor, final, cfg, TEST,
                   ft, eval_pool, keep_state=True)
     return {

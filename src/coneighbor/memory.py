@@ -95,8 +95,15 @@ class HashTableMemory:
         empty row).  Returns (K, l) int64 counts.
         """
         _check_mode(mode)
+        return self.count_gathered(anchors, self.table[peers], mode)
+
+    def count_gathered(self, anchors: np.ndarray, rows_p: np.ndarray,
+                       mode: str = MATCH_PAPER) -> np.ndarray:
+        """co_count_rows on peer rows already gathered as table[peers].
+
+        Lets one (K, l, M) gather serve counts against several anchors.
+        """
         rows_a = self.table[anchors][:, None, :]     # (K, 1, M)
-        rows_p = self.table[peers]                   # (K, l, M)
         eq = rows_p == rows_a
         if mode == MATCH_STRICT:
             eq &= rows_a != self.sentinel
@@ -186,12 +193,15 @@ class TemporalDiverseMemory:
 
         Returns (long_counts, short_counts), each (K, l, 2) int64.
         """
+        _check_mode(mode)
         anchor_own = np.asarray(anchor_own, dtype=np.int64)
         anchor_other = np.asarray(anchor_other, dtype=np.int64)
         out = []
         for mem in (self.long, self.short):
-            c = np.stack([mem.co_count_rows(anchor_own, peers, mode),
-                          mem.co_count_rows(anchor_other, peers, mode)], axis=2)
+            rows_p = mem.table[peers]                # (K, l, M), gathered once
+            c = np.stack([mem.count_gathered(anchor_own, rows_p, mode),
+                          mem.count_gathered(anchor_other, rows_p, mode)],
+                         axis=2)
             c[~valid] = mem.width if mode == MATCH_PAPER else 0
             out.append(c)
         return out[0], out[1]

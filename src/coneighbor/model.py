@@ -7,6 +7,13 @@ width d, concatenation to width 5d, L affine+layernorm+dropout fusion
 layers, mean-pooling over sequence positions, and an affine readout.  Two
 encoded endpoints are scored with a sigmoid over an affine merge.
 
+The projections and the first fusion layer are computed as the one affine
+map they compose to.  Block b's projection x_b @ P_b + p_b meets only the
+d rows W0_b of fuse0_w, so layer 0's input to its layernorm is
+sum_b x_b @ (P_b @ W0_b) + (fuse0_b + sum_b p_b @ W0_b).  The raw block
+inputs are only d_N + d_E + d_T + 4 wide, so this never builds the
+(S, l, 5d) concatenation; the parameters and the function are unchanged.
+
 Everything is plain numpy.  Gradients are computed in closed form by
 walking the recorded intermediates backwards; the test suite checks every
 parameter tensor against central finite differences.
@@ -23,6 +30,8 @@ from .errors import ConfigError, NumericalError, SnapshotError
 PARAMS_VERSION = 1
 CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
+# the five d-wide blocks of the fused input, in concatenation order
+BLOCKS = ("node", "edge", "time", "co_long", "co_short")
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,8 @@ def init_params(dims: ModelDims, seed: int, time_span: float = 1.0,
     d, f = dims.hidden, dims.fused
     p: dict[str, np.ndarray] = {}
     p["time_freq"] = init_time_frequencies(dims.time_dim, time_span, dtype)
-    for name, fan_in in (("node", dims.node_dim), ("edge", dims.edge_dim),
-                         ("time", dims.time_dim), ("co_long", 2),
-                         ("co_short", 2)):
+    for name, fan_in in zip(BLOCKS, (dims.node_dim, dims.edge_dim,
+                                     dims.time_dim, 2, 2)):
         p[f"proj_{name}_w"] = _glorot(rng, fan_in, d, dtype)
         p[f"proj_{name}_b"] = np.zeros(d, dtype=dtype)
     for layer in range(dims.layers):
@@ -169,9 +177,9 @@ class GradientTape:
     """Forward intermediates needed for the exact backward pass."""
 
     feats: SequenceFeatures
-    args: np.ndarray                 # dt[...,None] * freqs
-    te: np.ndarray                   # time encoding block input
-    layers: list = field(default_factory=list)   # (z_in, y, inv_std, mask)
+    x: np.ndarray                    # raw block inputs, concatenated
+    # (z_in, y, inv_std, mask) per layer; layer 0's input is x, so z_in is None
+    layers: list = field(default_factory=list)
     pool: np.ndarray | None = None
     h: np.ndarray | None = None
 
@@ -192,25 +200,17 @@ class LinkPredictor:
         """Sequences -> (S, d_o) node representations plus the tape."""
         if training and self.dropout > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
-        w = params["time_freq"]
-        args = feats.dt[..., None] * w
-        te = np.empty_like(args)
-        te[..., 0::2] = np.cos(args[..., 0::2])
-        te[..., 1::2] = np.sin(args[..., 1::2])
-        te *= np.sqrt(1.0 / w.shape[0])
+        te = time_encode(feats.dt, params["time_freq"])
+        x = np.concatenate([feats.node, feats.edge, te, feats.co_long,
+                            feats.co_short], axis=-1)
+        w0, b0 = self._fold_layer0(params)
 
-        z = np.concatenate([
-            feats.node @ params["proj_node_w"] + params["proj_node_b"],
-            feats.edge @ params["proj_edge_w"] + params["proj_edge_b"],
-            te @ params["proj_time_w"] + params["proj_time_b"],
-            feats.co_long @ params["proj_co_long_w"] + params["proj_co_long_b"],
-            feats.co_short @ params["proj_co_short_w"] + params["proj_co_short_b"],
-        ], axis=-1)
-
-        tape = GradientTape(feats=feats, args=args, te=te)
+        tape = GradientTape(feats=feats, x=x)
+        z_in, a = None, x @ w0 + b0
         for layer in range(self.dims.layers):
-            z_in = z
-            a = z_in @ params[f"fuse{layer}_w"] + params[f"fuse{layer}_b"]
+            if layer:
+                z_in = z
+                a = z_in @ params[f"fuse{layer}_w"] + params[f"fuse{layer}_b"]
             y, inv = layer_norm(a)
             if training and self.dropout > 0.0:
                 mask = rng.random(y.shape) >= self.dropout
@@ -224,6 +224,17 @@ class LinkPredictor:
         h = pool @ params["out_w"] + params["out_b"]
         tape.pool, tape.h = pool, h
         return h, tape
+
+    def _fold_layer0(self, params):
+        """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""
+        d = self.dims.hidden
+        w0 = params["fuse0_w"]
+        ws, b = [], params["fuse0_b"]
+        for i, name in enumerate(BLOCKS):
+            w0_b = w0[i * d:(i + 1) * d]
+            ws.append(params[f"proj_{name}_w"] @ w0_b)
+            b = b + params[f"proj_{name}_b"] @ w0_b
+        return np.concatenate(ws), b
 
     def score(self, params, h_a: np.ndarray, h_b: np.ndarray) -> np.ndarray:
         """Pairwise link probability; order of (a, b) matters."""
@@ -291,27 +302,40 @@ class LinkPredictor:
             # layernorm (no affine): dx = inv*(dy - mean(dy) - y*mean(dy*y))
             da = inv * (dy - dy.mean(axis=-1, keepdims=True)
                         - y * (dy * y).mean(axis=-1, keepdims=True))
-            grads[f"fuse{layer}_w"] += z_in.reshape(-1, f).T @ da.reshape(-1, f)
-            grads[f"fuse{layer}_b"] += da.sum(axis=(0, 1))
-            dz = da @ params[f"fuse{layer}_w"].T
+            if layer:
+                grads[f"fuse{layer}_w"] += z_in.reshape(-1, f).T @ da.reshape(-1, f)
+                grads[f"fuse{layer}_b"] += da.sum(axis=(0, 1))
+                dz = da @ params[f"fuse{layer}_w"].T
 
+        # layer 0 in folded form: with G_b = x_b^T da and s = sum(da),
+        # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
+        # d p_b = W0_b s, and the time input gets da (P_t W0_t)^T
         d = self.dims.hidden
-        blocks = (("node", feats.node), ("edge", feats.edge), ("time", tape.te),
-                  ("co_long", feats.co_long), ("co_short", feats.co_short))
-        dte = None
-        for i, (name, x) in enumerate(blocks):
-            dblk = dz[..., i * d:(i + 1) * d]
-            k = x.shape[-1]          # explicit shape: k may be zero
-            grads[f"proj_{name}_w"] += x.reshape(S * l, k).T @ dblk.reshape(S * l, d)
-            grads[f"proj_{name}_b"] += dblk.sum(axis=(0, 1))
+        x = tape.x
+        da = da.reshape(S * l, f)
+        G = x.reshape(S * l, x.shape[-1]).T @ da
+        s = da.sum(axis=0)
+        grads["fuse0_b"] += s
+        w0 = params["fuse0_w"]
+        lo = 0
+        for i, name in enumerate(BLOCKS):
+            rows = slice(i * d, (i + 1) * d)
+            w0_b, p_w = w0[rows], params[f"proj_{name}_w"]
+            k = p_w.shape[0]          # k may be zero
+            G_b = G[lo:lo + k]
+            grads["fuse0_w"][rows] += p_w.T @ G_b + np.outer(params[f"proj_{name}_b"], s)
+            grads[f"proj_{name}_w"] += G_b @ w0_b.T
+            grads[f"proj_{name}_b"] += w0_b @ s
             if name == "time":
-                dte = dblk @ params["proj_time_w"].T
+                dte = (da @ (p_w @ w0_b).T).reshape(S, l, k)
+            lo += k
 
         # through the trig: even columns are cos, odd are sin
         sc = np.sqrt(1.0 / self.dims.time_dim)
-        dargs = np.empty_like(tape.args)
-        dargs[..., 0::2] = -np.sin(tape.args[..., 0::2]) * dte[..., 0::2]
-        dargs[..., 1::2] = np.cos(tape.args[..., 1::2]) * dte[..., 1::2]
+        args = feats.dt[..., None] * params["time_freq"]
+        dargs = np.empty_like(args)
+        dargs[..., 0::2] = -np.sin(args[..., 0::2]) * dte[..., 0::2]
+        dargs[..., 1::2] = np.cos(args[..., 1::2]) * dte[..., 1::2]
         grads["time_freq"] += sc * (dargs * feats.dt[..., None]).sum(axis=(0, 1))
 
 

@@ -63,6 +63,25 @@ class TestLoadEvents:
         with pytest.raises(EmptyInputError):
             load_events(write(tmp_path, "src,dst,t\n"))
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        # the header is the first non-blank row and sets no arity; the
+        # first data row does, and line numbers count blank lines
+        p = write(tmp_path, "\n\nsrc,dst\n\n0,1,1.0,0.5\n\n1,2,x,0.5\n")
+        with pytest.raises(ParseError, match="line 7"):
+            load_events(p)
+        p = write(tmp_path, "\nsrc,dst\n\n0,1,1.0,0.5\n1,2,2.0,0.25\n\n")
+        g = load_events(p)
+        assert g.num_events == 2 and g.edge_dim == 0    # a label column
+        p = write(tmp_path, "\n0,1,1.0\n\n0,1\n")
+        with pytest.raises(SchemaError, match="line 4"):
+            load_events(p)
+
+    @pytest.mark.parametrize("text, what", [("\n\n", "no rows"),
+                                            ("\nsrc,dst,t\n\n", "header only")])
+    def test_blank_only_inputs(self, tmp_path, text, what):
+        with pytest.raises(EmptyInputError, match=what):
+            load_events(write(tmp_path, text))
+
     def test_out_of_order_rows_sorted(self, tmp_path):
         g = load_events(write(tmp_path, "0,1,5.0\n1,2,3.0\n"))
         np.testing.assert_allclose(g.t, [3.0, 5.0])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coneighbor.errors import ConfigError, NumericalError, SnapshotError
-from coneighbor.model import (CLAMP_EPS, AdamState, LinkPredictor, ModelDims,
-                              SequenceFeatures, adam_init, adam_step,
+from coneighbor.model import (BLOCKS, CLAMP_EPS, AdamState, LinkPredictor,
+                              ModelDims, SequenceFeatures, adam_init, adam_step,
                               bce_loss, copy_params, init_params,
                               init_time_frequencies, layer_norm, load_params,
                               save_params, time_encode)
@@ -203,6 +203,96 @@ class TestGradients:
         assert np.isfinite(loss)
         assert grads["proj_node_w"].shape == (0, 3)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
+    """Reference: project every block, concatenate to 5d, then fuse0.
+
+    Training mode with dropout; the masks are drawn with the same calls as
+    in LinkPredictor.encode.  Probabilities must stay off the clamp.
+    """
+    dims, keep = pred.dims, 1.0 - pred.dropout
+    d, f = dims.hidden, dims.fused
+    S, l = feats.dt.shape
+    freqs = params["time_freq"]
+    args = feats.dt[..., None] * freqs
+    xs = dict(zip(BLOCKS, (feats.node, feats.edge, time_encode(feats.dt, freqs),
+                           feats.co_long, feats.co_short)))
+    z = np.concatenate([xs[n] @ params[f"proj_{n}_w"] + params[f"proj_{n}_b"]
+                        for n in BLOCKS], axis=-1)
+    layers = []
+    for layer in range(dims.layers):
+        y, inv = layer_norm(z @ params[f"fuse{layer}_w"] + params[f"fuse{layer}_b"])
+        mask = rng.random(y.shape) >= pred.dropout
+        layers.append((z, y, inv, mask))
+        z = y * mask / keep
+    pool = z.mean(axis=1)
+    H = pool @ params["out_w"] + params["out_b"]
+
+    w_m, b_m = params["merge_w"][:, 0], params["merge_b"][0]
+    probs = [1.0 / (1.0 + np.exp(-(np.concatenate([H[a], H[b]], axis=-1) @ w_m
+                                   + b_m))) for a, b in (pos, neg)]
+    assert all(((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)).all() for p in probs)
+    loss = -np.log(probs[0]).mean() - np.log1p(-probs[1]).mean()
+
+    g = {k: np.zeros_like(v) for k, v in params.items()}
+    dH = np.zeros_like(H)
+    for (a, b), dlg in ((pos, -(1.0 - probs[0]) / pos[0].size),
+                        (neg, probs[1] / neg[0].size)):
+        g["merge_w"][:, 0] += np.concatenate([H[a], H[b]], axis=-1).T @ dlg
+        g["merge_b"][0] += dlg.sum()
+        np.add.at(dH, a, dlg[:, None] * w_m[:dims.out_dim])
+        np.add.at(dH, b, dlg[:, None] * w_m[dims.out_dim:])
+    g["out_w"] += pool.T @ dH
+    g["out_b"] += dH.sum(axis=0)
+    dz = np.broadcast_to((dH @ params["out_w"].T)[:, None, :] / l, (S, l, f))
+    for layer in reversed(range(dims.layers)):
+        z_in, y, inv, mask = layers[layer]
+        dy = dz * mask / keep
+        da = inv * (dy - dy.mean(axis=-1, keepdims=True)
+                    - y * (dy * y).mean(axis=-1, keepdims=True))
+        g[f"fuse{layer}_w"] += z_in.reshape(-1, f).T @ da.reshape(-1, f)
+        g[f"fuse{layer}_b"] += da.sum(axis=(0, 1))
+        dz = da @ params[f"fuse{layer}_w"].T
+    for i, n in enumerate(BLOCKS):
+        dblk = dz[..., i * d:(i + 1) * d]
+        g[f"proj_{n}_w"] += (xs[n].reshape(S * l, -1).T
+                             @ dblk.reshape(S * l, d))
+        g[f"proj_{n}_b"] += dblk.sum(axis=(0, 1))
+    dte = dz[..., 2 * d:3 * d] @ params["proj_time_w"].T
+    dargs = np.where(np.arange(freqs.size) % 2, np.cos(args), -np.sin(args))
+    g["time_freq"] += (np.sqrt(1.0 / freqs.size)
+                       * (dargs * dte * feats.dt[..., None]).sum(axis=(0, 1)))
+    return loss, g, probs
+
+
+class TestFoldedLayer0:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("feat_dim", [0, 3])
+    def test_matches_unfolded_reference(self, rng, layers, feat_dim):
+        dims = ModelDims(node_dim=feat_dim, edge_dim=feat_dim, time_dim=6,
+                         hidden=4, out_dim=3, layers=layers)
+        pred = LinkPredictor(dims, dropout=0.3)
+        params = init_params(dims, seed=4, time_span=5.0)
+        for v in params.values():    # non-zero biases reach every fold term
+            v += rng.normal(scale=0.2, size=v.shape)
+        feats = make_feats(rng, S=8, l=5, d_N=feat_dim, d_E=feat_dim)
+        pos = (np.array([0, 1, 2]), np.array([3, 4, 5]))
+        neg = (np.array([0, 1, 6]), np.array([6, 7, 2]))
+        loss, grads, probs = pred.loss_and_grads(
+            params, feats, pos, neg, training=True,
+            rng=np.random.default_rng(21))
+        want_loss, want_grads, want_probs = unfolded_loss_and_grads(
+            pred, params, feats, pos, neg, np.random.default_rng(21))
+
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        for got, want in zip(probs, want_probs):
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+        assert set(grads) == set(want_grads)
+        for k, want in want_grads.items():
+            atol = 1e-10 * np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(grads[k], want, rtol=1e-10, atol=atol,
+                                       err_msg=k)
 
 
 class TestDropout:
