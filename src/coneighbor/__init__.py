@@ -6,13 +6,12 @@ feeds a small sequence encoder for dynamic link prediction.
 """
 
 from .config import RunConfig
-from .data import (CsvLayout, EdgeEvent, SplitSpec, TemporalGraph,
+from .data import (CsvLayout, SplitSpec, TemporalGraph,
                    chronological_split, load_events, sample_negative,
                    select_inductive_nodes)
 from .history import HistoryStore, NeighborSequence, NeighborSequenceBatch
 from .memory import (CoNeighborFeature, ExactNeighborLog, HashTableMemory,
-                     MemoryImage, TemporalDiverseMemory,
-                     exact_common_neighbors)
+                     MemoryImage, TemporalDiverseMemory)
 from .metrics import auc_roc, average_precision
 from .model import (AdamState, GradientTape, LinkPredictor, ModelDims,
                     SequenceFeatures, adam_init, adam_step, bce_loss,
@@ -22,12 +21,12 @@ from .synthetic import TriadicStreamConfig, random_stream, triadic_closure_strea
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig", "CsvLayout", "EdgeEvent", "SplitSpec", "TemporalGraph",
+    "RunConfig", "CsvLayout", "SplitSpec", "TemporalGraph",
     "chronological_split", "load_events", "sample_negative",
     "select_inductive_nodes", "HistoryStore", "NeighborSequence",
     "NeighborSequenceBatch", "CoNeighborFeature", "ExactNeighborLog",
     "HashTableMemory", "MemoryImage", "TemporalDiverseMemory",
-    "exact_common_neighbors", "auc_roc", "average_precision", "AdamState",
+    "auc_roc", "average_precision", "AdamState",
     "GradientTape", "LinkPredictor", "ModelDims", "SequenceFeatures",
     "adam_init", "adam_step", "bce_loss", "init_params", "layer_norm",
     "time_encode", "TriadicStreamConfig", "random_stream",

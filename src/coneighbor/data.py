@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +41,6 @@ class CsvLayout:
     delimiter: str = ","
 
 
-class EdgeEvent(NamedTuple):
-    src: int
-    dst: int
-    t: float
-    edge_idx: int
-    feat: np.ndarray
-
-
 @dataclass
 class TemporalGraph:
     """Struct-of-arrays view of a timestamp-sorted event stream."""
@@ -77,10 +68,6 @@ class TemporalGraph:
     @property
     def sentinel(self) -> int:
         return self.num_nodes
-
-    def event(self, i: int) -> EdgeEvent:
-        return EdgeEvent(int(self.src[i]), int(self.dst[i]), float(self.t[i]),
-                         i, self.edge_feats[i])
 
     def check(self) -> "TemporalGraph":
         E = self.num_events

@@ -99,7 +99,8 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
         co_long = np.zeros((K, l, 2), dtype=ft.dtype)
         co_short = np.zeros((K, l, 2), dtype=ft.dtype)
     else:
-        lng, sht = tdm.co_encode_batch(own, other, peers, valid, cfg.matching)
+        lng, sht = tdm.co_encode_batch(own, other, peers, valid, cfg.matching,
+                                       short=not cfg.no_td)
         co_long = (lng / tdm.long.width).astype(ft.dtype)
         if cfg.no_td:
             co_short = np.zeros((K, l, 2), dtype=ft.dtype)

@@ -27,8 +27,6 @@ from .config import MATCH_PAPER, MATCH_STRICT
 from .errors import ConfigError, ProtocolError, SnapshotError
 from .history import NeighborSequence, NeighborSequenceBatch
 
-MEMORY_IMAGE_VERSION = 1
-
 
 def _check_mode(mode: str) -> None:
     if mode not in (MATCH_PAPER, MATCH_STRICT):
@@ -115,9 +113,8 @@ class HashTableMemory:
 
 @dataclass
 class MemoryImage:
-    """Serializable state of a TemporalDiverseMemory (versioned)."""
+    """In-memory copy of a TemporalDiverseMemory's tables and shape."""
 
-    version: int
     num_nodes: int
     long_width: int
     long_multiplier: int
@@ -125,23 +122,6 @@ class MemoryImage:
     short_multiplier: int
     long_table: np.ndarray
     short_table: np.ndarray
-
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path, version=self.version, num_nodes=self.num_nodes,
-            long_width=self.long_width, long_multiplier=self.long_multiplier,
-            short_width=self.short_width, short_multiplier=self.short_multiplier,
-            long_table=self.long_table, short_table=self.short_table)
-
-    @classmethod
-    def load(cls, path) -> "MemoryImage":
-        with np.load(path) as z:
-            if int(z["version"]) != MEMORY_IMAGE_VERSION:
-                raise SnapshotError(f"unsupported memory image version {z['version']}")
-            return cls(int(z["version"]), int(z["num_nodes"]),
-                       int(z["long_width"]), int(z["long_multiplier"]),
-                       int(z["short_width"]), int(z["short_multiplier"]),
-                       z["long_table"].copy(), z["short_table"].copy())
 
 
 def _valid_nonself_peers(seq: NeighborSequence) -> np.ndarray:
@@ -183,7 +163,8 @@ class TemporalDiverseMemory:
 
     def co_encode_batch(self, anchor_own: np.ndarray, anchor_other: np.ndarray,
                         peers: np.ndarray, valid: np.ndarray,
-                        mode: str = MATCH_PAPER) -> tuple[np.ndarray, np.ndarray]:
+                        mode: str = MATCH_PAPER, *, short: bool = True,
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
         """Structure features for a stack of sequences.
 
         For row k with peers p_1..p_l, produces per position the pair
@@ -191,20 +172,21 @@ class TemporalDiverseMemory:
         positions (valid False) are overridden to the no-information value:
         full width under paper matching, zero under strict.
 
-        Returns (long_counts, short_counts), each (K, l, 2) int64.
+        Returns (long_counts, short_counts), each (K, l, 2) int64; with
+        short False the short table is not read and short_counts is None.
         """
         _check_mode(mode)
         anchor_own = np.asarray(anchor_own, dtype=np.int64)
         anchor_other = np.asarray(anchor_other, dtype=np.int64)
         out = []
-        for mem in (self.long, self.short):
+        for mem in (self.long, self.short) if short else (self.long,):
             rows_p = mem.table[peers]                # (K, l, M), gathered once
             c = np.stack([mem.count_gathered(anchor_own, rows_p, mode),
                           mem.count_gathered(anchor_other, rows_p, mode)],
                          axis=2)
             c[~valid] = mem.width if mode == MATCH_PAPER else 0
             out.append(c)
-        return out[0], out[1]
+        return out[0], out[1] if short else None
 
     def co_encode(self, u: int, v: int, seq_u: NeighborSequence,
                   seq_v: NeighborSequence, mode: str = MATCH_PAPER):
@@ -264,7 +246,7 @@ class TemporalDiverseMemory:
     # -- state ---------------------------------------------------------
 
     def snapshot(self) -> MemoryImage:
-        return MemoryImage(MEMORY_IMAGE_VERSION, self.num_nodes,
+        return MemoryImage(self.num_nodes,
                            self.long.width, self.long.multiplier,
                            self.short.width, self.short.multiplier,
                            self.long.table.copy(), self.short.table.copy())
@@ -328,10 +310,6 @@ class ExactNeighborLog:
     def reset(self) -> None:
         for s in self._sets:
             s.clear()
-
-
-def exact_common_neighbors(log: ExactNeighborLog, a: int, b: int) -> int:
-    return log.common(a, b)
 
 
 def slot_injective(mem: HashTableMemory, ids) -> bool:

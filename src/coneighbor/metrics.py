@@ -25,19 +25,26 @@ def _validate(scores, labels):
 
 
 def average_precision(scores, labels) -> float:
-    """Mean over positives of precision at that positive's rank.
+    """Sum over score thresholds of recall gain times precision.
 
-    Items are ranked by descending score; equal scores keep their input
-    order (stable sort), so ties are resolved deterministically.
+    One threshold per distinct score (the scikit-learn convention):
+    AP = sum_t (#pos scored t / n_pos) * precision(score >= t).  Tied items
+    share one threshold, so the result does not depend on input order;
+    without ties it is the mean over positives of precision at that
+    positive's rank.
     """
     scores, labels = _validate(scores, labels)
     if not labels.any():
         raise UndefinedMetricError("average precision needs at least one positive")
     order = np.argsort(-scores, kind="stable")
-    hits = labels[order]
-    csum = np.cumsum(hits)
-    ranks = np.arange(1, scores.size + 1)
-    return float((csum[hits] / ranks[hits]).mean())
+    ranked = scores[order]
+    csum = np.cumsum(labels[order])
+    # the last item of each run of equal scores closes one threshold
+    ends = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])
+    tp = csum[ends]
+    gain = np.diff(tp, prepend=0)
+    hit = gain > 0
+    return float((gain[hit] * (tp[hit] / (ends[hit] + 1))).sum() / csum[-1])
 
 
 def auc_roc(scores, labels) -> float:

@@ -14,6 +14,12 @@ sum_b x_b @ (P_b @ W0_b) + (fuse0_b + sum_b p_b @ W0_b).  The raw block
 inputs are only d_N + d_E + d_T + 4 wide, so this never builds the
 (S, l, 5d) concatenation; the parameters and the function are unchanged.
 
+Both passes run in blocks of whole sequences, sized by BLOCK_BYTES so that
+one block's (rows, 5d) temporaries stay in a core's L2 cache instead of
+streaming whole-batch arrays through memory once per elementwise step.
+The forward pass keeps layers as the outer loop, so the dropout draws are
+taken in the same order as one whole-array draw per layer.
+
 Everything is plain numpy.  Gradients are computed in closed form by
 walking the recorded intermediates backwards; the test suite checks every
 parameter tensor against central finite differences.
@@ -32,6 +38,9 @@ CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
 BLOCKS = ("node", "edge", "time", "co_long", "co_short")
+# bytes of one (rows, 5d) slice per encoder block: a block's temporaries
+# then fit a 2 MiB L2 cache several times over
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -143,16 +152,36 @@ def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, eps: float = LN_EPS):
+def layer_norm(x: np.ndarray, eps: float = LN_EPS,
+               out: np.ndarray | None = None):
     """Row-wise normalization over the last axis, no gain or bias.
 
-    Returns (y, inv_std); inv_std is kept for the backward pass.
+    Returns (y, inv_std); inv_std is kept for the backward pass.  y is
+    written to ``out`` when given, which may be x itself.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
+    xc = np.subtract(x, mu, out=out)
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
+    xc *= inv
+    return xc, inv
+
+
+def _layer_norm_backward(dy: np.ndarray, y: np.ndarray,
+                         inv: np.ndarray) -> np.ndarray:
+    """In place, dy becomes inv * (dy - mean(dy) - y * mean(dy * y))."""
+    dy_y = dy * y
+    m2 = dy_y.mean(axis=-1, keepdims=True)
+    dy -= dy.mean(axis=-1, keepdims=True)
+    dy -= np.multiply(y, m2, out=dy_y)
+    dy *= inv
+    return dy
+
+
+def _sequence_blocks(S: int, l: int, f: int, dtype) -> list[slice]:
+    """Slices of whole sequences, each about BLOCK_BYTES of an (l, f) stack."""
+    c = max(1, BLOCK_BYTES // (l * f * np.dtype(dtype).itemsize))
+    return [slice(lo, min(lo + c, S)) for lo in range(0, S, c)]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -203,24 +232,47 @@ class LinkPredictor:
         te = time_encode(feats.dt, params["time_freq"])
         x = np.concatenate([feats.node, feats.edge, te, feats.co_long,
                             feats.co_short], axis=-1)
-        w0, b0 = self._fold_layer0(params)
+        w, b = self._fold_layer0(params)
+        S, l = feats.dt.shape
+        f, last = self.dims.fused, self.dims.layers - 1
+        dtype = np.result_type(x, w)
+        blocks = _sequence_blocks(S, l, f, dtype)
+        drop = training and self.dropout > 0.0
+        if drop:
+            c = blocks[0].stop if blocks else 0
+            draws = np.empty((c, l, f))           # float64, as rng.random gives
+            z_last = np.empty((c, l, f), dtype)   # last layer's z, pooled only
 
         tape = GradientTape(feats=feats, x=x)
-        z_in, a = None, x @ w0 + b0
+        pool = np.empty((S, f), dtype)
+        z_in, a_in = None, x
         for layer in range(self.dims.layers):
             if layer:
-                z_in = z
-                a = z_in @ params[f"fuse{layer}_w"] + params[f"fuse{layer}_b"]
-            y, inv = layer_norm(a)
-            if training and self.dropout > 0.0:
-                mask = rng.random(y.shape) >= self.dropout
-                z = y * mask / (1.0 - self.dropout)
-            else:
-                mask = None
-                z = y
+                z_in = a_in = z
+                w, b = params[f"fuse{layer}_w"], params[f"fuse{layer}_b"]
+            y = np.empty((S, l, f), dtype)
+            inv = np.empty((S, l, 1), dtype)
+            mask = np.empty((S, l, f), dtype=bool) if drop else None
+            z = np.empty_like(y) if drop and layer < last else y
+            for blk in blocks:
+                yb = y[blk]
+                np.matmul(a_in[blk].reshape(-1, a_in.shape[-1]), w,
+                          out=yb.reshape(-1, f))
+                yb += b
+                _, inv[blk] = layer_norm(yb, out=yb)
+                zb = yb
+                if drop:
+                    n = blk.stop - blk.start
+                    np.greater_equal(rng.random(out=draws[:n]), self.dropout,
+                                     out=mask[blk])
+                    zb = z[blk] if layer < last else z_last[:n]
+                    np.multiply(yb, mask[blk], out=zb)
+                    zb /= 1.0 - self.dropout
+                if layer == last:
+                    # padded rows included in the divisor
+                    np.mean(zb, axis=1, out=pool[blk])
             tape.layers.append((z_in, y, inv, mask))
 
-        pool = z.mean(axis=1)            # padded rows included in the divisor
         h = pool @ params["out_w"] + params["out_b"]
         tape.pool, tape.h = pool, h
         return h, tape
@@ -287,36 +339,46 @@ class LinkPredictor:
                          dH: np.ndarray) -> None:
         feats = tape.feats
         S, l = feats.dt.shape
-        f = self.dims.fused
+        d, f = self.dims.hidden, self.dims.fused
+        x = tape.x
+        k_x = x.shape[-1]
 
         grads["out_w"] += tape.pool.T @ dH
         grads["out_b"] += dH.sum(axis=0)
-        dz = (dH @ params["out_w"].T)[:, None, :] / l   # mean-pool backward
-
-        for layer in reversed(range(self.dims.layers)):
-            z_in, y, inv, mask = tape.layers[layer]
-            if mask is not None:
-                dy = dz * mask / (1.0 - self.dropout)
-            else:
-                dy = dz * np.ones_like(y)
-            # layernorm (no affine): dx = inv*(dy - mean(dy) - y*mean(dy*y))
-            da = inv * (dy - dy.mean(axis=-1, keepdims=True)
-                        - y * (dy * y).mean(axis=-1, keepdims=True))
-            if layer:
-                grads[f"fuse{layer}_w"] += z_in.reshape(-1, f).T @ da.reshape(-1, f)
-                grads[f"fuse{layer}_b"] += da.sum(axis=(0, 1))
-                dz = da @ params[f"fuse{layer}_w"].T
+        dpool = (dH @ params["out_w"].T)[:, None, :] / l   # mean-pool backward
 
         # layer 0 in folded form: with G_b = x_b^T da and s = sum(da),
         # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
         # d p_b = W0_b s, and the time input gets da (P_t W0_t)^T
-        d = self.dims.hidden
-        x = tape.x
-        da = da.reshape(S * l, f)
-        G = x.reshape(S * l, x.shape[-1]).T @ da
-        s = da.sum(axis=0)
-        grads["fuse0_b"] += s
         w0 = params["fuse0_w"]
+        i_t = BLOCKS.index("time")
+        w_t = params["proj_time_w"] @ w0[i_t * d:(i_t + 1) * d]
+        dte = np.empty((S, l, w_t.shape[0]), np.result_type(dpool, w_t))
+        G = np.zeros((k_x, f), np.result_type(x, dpool))
+        s = np.zeros(f, dpool.dtype)
+
+        # no draws here, so each block runs through every layer while its
+        # gradients are still in cache
+        for blk in _sequence_blocks(S, l, f, dpool.dtype):
+            dz = dpool[blk]
+            for layer in reversed(range(self.dims.layers)):
+                z_in, y, inv, mask = tape.layers[layer]
+                if mask is not None:
+                    dy = dz * mask[blk]
+                    dy /= 1.0 - self.dropout
+                else:
+                    dy = np.array(np.broadcast_to(dz, y[blk].shape))
+                da = _layer_norm_backward(dy, y[blk], inv[blk]).reshape(-1, f)
+                if layer:
+                    w = params[f"fuse{layer}_w"]
+                    grads[f"fuse{layer}_w"] += z_in[blk].reshape(-1, f).T @ da
+                    grads[f"fuse{layer}_b"] += da.sum(axis=0)
+                    dz = (da @ w.T).reshape(dy.shape)
+            G += x[blk].reshape(-1, k_x).T @ da
+            s += da.sum(axis=0)
+            np.matmul(da, w_t.T, out=dte[blk].reshape(-1, w_t.shape[0]))
+
+        grads["fuse0_b"] += s
         lo = 0
         for i, name in enumerate(BLOCKS):
             rows = slice(i * d, (i + 1) * d)
@@ -326,8 +388,6 @@ class LinkPredictor:
             grads["fuse0_w"][rows] += p_w.T @ G_b + np.outer(params[f"proj_{name}_b"], s)
             grads[f"proj_{name}_w"] += G_b @ w0_b.T
             grads[f"proj_{name}_b"] += w0_b @ s
-            if name == "time":
-                dte = (da @ (p_w @ w0_b).T).reshape(S, l, k)
             lo += k
 
         # through the trig: even columns are cos, odd are sin

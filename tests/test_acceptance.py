@@ -234,13 +234,14 @@ def test_07_encoding_cost_scales_linearly():
 
 
 def _naive_ap(scores, labels):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    tp, precs = 0, []
-    for rank, i in enumerate(order, start=1):
-        if labels[i]:
-            tp += 1
-            precs.append(tp / rank)
-    return sum(precs) / len(precs)
+    # one threshold per distinct score; tied items share it
+    n_pos = sum(bool(y) for y in labels)
+    total = 0.0
+    for t in sorted(set(scores), reverse=True):
+        at = sum(bool(y) for s, y in zip(scores, labels) if s == t)
+        above = [bool(y) for s, y in zip(scores, labels) if s >= t]
+        total += at / n_pos * (sum(above) / len(above))
+    return total
 
 
 def _naive_auc(scores, labels):

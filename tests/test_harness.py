@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -99,6 +100,38 @@ class TestStackPairFeatures:
         notd = stack_pair_features(ft, cfg.replace(no_td=True), tdm, sides)
         assert not notd.co_short.any()
         np.testing.assert_array_equal(full.co_long, notd.co_long)
+
+    @pytest.mark.parametrize("matching", ["paper", "strict"])
+    def test_ablation_flags_keep_inputs_byte_identical(self, rand_graph,
+                                                      matching):
+        cfg = tiny_cfg(matching=matching)
+        tdm, sides = self.build_sides(rand_graph, cfg)
+        ft = feature_tables(rand_graph, cfg)
+        full = stack_pair_features(ft, cfg, tdm, sides)
+        zero = np.zeros_like(full.co_long)
+        for no_cne, no_td, no_nup, no_tup in itertools.product([False, True],
+                                                               repeat=4):
+            got = stack_pair_features(
+                ft, cfg.replace(no_cne=no_cne, no_td=no_td, no_nup=no_nup,
+                                no_tup=no_tup), tdm, sides)
+            want_long = zero if no_cne else full.co_long
+            want_short = zero if no_cne or no_td else full.co_short
+            for name, want in (("dt", full.dt), ("node", full.node),
+                               ("edge", full.edge), ("co_long", want_long),
+                               ("co_short", want_short)):
+                block = getattr(got, name)
+                assert block.dtype == want.dtype and block.shape == want.shape
+                assert block.tobytes() == want.tobytes(), name
+
+    def test_no_td_never_reads_the_short_table(self, rand_graph):
+        cfg = tiny_cfg(no_td=True)
+        tdm, sides = self.build_sides(rand_graph, cfg)
+        ft = feature_tables(rand_graph, cfg)
+        want = stack_pair_features(ft, cfg, tdm, sides)
+        tdm.short = None
+        got = stack_pair_features(ft, cfg, tdm, sides)
+        np.testing.assert_array_equal(got.co_long, want.co_long)
+        assert not got.co_short.any()
 
     def test_padding_rows_read_zero_edge_features(self, rand_graph):
         cfg = tiny_cfg()

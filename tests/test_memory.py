@@ -7,9 +7,9 @@ from coneighbor.config import MATCH_PAPER, MATCH_STRICT
 from coneighbor.errors import ConfigError, ProtocolError, SnapshotError
 from coneighbor.history import (HistoryStore, NeighborSequence,
                                 NeighborSequenceBatch)
-from coneighbor.memory import (ExactNeighborLog, HashTableMemory, MemoryImage,
+from coneighbor.memory import (ExactNeighborLog, HashTableMemory,
                                TemporalDiverseMemory, check_slot_consistency,
-                               exact_common_neighbors, slot_injective)
+                               slot_injective)
 
 
 def seq(anchor, peers, t=1.0, valid=None):
@@ -376,17 +376,6 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             b.restore(a.snapshot())
 
-    def test_file_roundtrip(self, tmp_path, rng):
-        tdm = TemporalDiverseMemory(10, 8, 4, 5, 3)
-        for _ in range(30):
-            tdm.long.insert(int(rng.integers(10)), int(rng.integers(10)))
-        path = tmp_path / "mem.npz"
-        tdm.snapshot().save(path)
-        image = MemoryImage.load(path)
-        fresh = TemporalDiverseMemory(10, 8, 4, 5, 3)
-        fresh.restore(image)
-        np.testing.assert_array_equal(fresh.long.table, tdm.long.table)
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 16))
     def test_randomized_roundtrip(self, seed):
@@ -412,7 +401,7 @@ class TestExactOracle:
                               two_order=False, neighbor_update=False)
         log.apply_link_update(2, 3, seq(2, [2]), seq(3, [3]),
                               two_order=False, neighbor_update=False)
-        assert exact_common_neighbors(log, 0, 2) == 0
+        assert log.common(0, 2) == 0
 
     def test_identical_neighborhoods(self):
         log = ExactNeighborLog(10)
@@ -421,7 +410,7 @@ class TestExactOracle:
                                   two_order=False, neighbor_update=False)
             log.apply_link_update(1, nb, seq(1, [1]), seq(nb, [nb]),
                                   two_order=False, neighbor_update=False)
-        assert exact_common_neighbors(log, 0, 1) == 3
+        assert log.common(0, 1) == 3
 
     def test_instance_equivalence_with_searched_q(self, rng):
         """Random stream; find (q, M) injective, then counts must agree."""

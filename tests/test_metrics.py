@@ -8,15 +8,15 @@ from coneighbor.metrics import auc_roc, average_precision
 
 
 def naive_ap(scores, labels):
-    """Quadratic-ish reference: explicit rank walk, stable tie order."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    tp = 0
-    precisions = []
-    for rank, i in enumerate(order, start=1):
-        if labels[i]:
-            tp += 1
-            precisions.append(tp / rank)
-    return sum(precisions) / len(precisions)
+    """Quadratic reference: one threshold per distinct score, tied items
+    sharing it; recall gain at each threshold times the precision there."""
+    n_pos = sum(bool(y) for y in labels)
+    total = 0.0
+    for t in sorted(set(scores), reverse=True):
+        at = sum(bool(y) for s, y in zip(scores, labels) if s == t)
+        above = [bool(y) for s, y in zip(scores, labels) if s >= t]
+        total += at / n_pos * (sum(above) / len(above))
+    return total
 
 
 def naive_auc(scores, labels):
@@ -41,10 +41,27 @@ class TestAveragePrecision:
         with pytest.raises(UndefinedMetricError):
             average_precision([0.5, 0.4], [0, 0])
 
-    def test_ties_resolved_by_input_order(self):
-        # equal scores: the stable sort keeps the positive after the negative
+    def test_tied_scores_share_one_threshold(self):
         assert average_precision([0.5, 0.5], [0, 1]) == 0.5
-        assert average_precision([0.5, 0.5], [1, 0]) == 1.0
+        assert average_precision([0.5, 0.5], [1, 0]) == 0.5
+        # a constant scorer gets the positive rate, whatever the order
+        assert average_precision([0.2] * 5, [1, 1, 0, 0, 0]) == 0.4
+        assert average_precision([0.2] * 5, [0, 0, 0, 1, 1]) == 0.4
+        # a tie group below a clean positive: 1/2 * 1 + 1/2 * 2/3
+        assert average_precision([0.9, 0.3, 0.3], [1, 0, 1]) == pytest.approx(
+            5 / 6, abs=1e-15)
+
+    def test_invariant_to_input_order(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 80))
+            s = rng.integers(0, 5, n) / 5.0       # heavy ties
+            y = rng.random(n) < 0.4
+            if not y.any():
+                continue
+            ap = average_precision(s, y)
+            for _ in range(5):
+                perm = rng.permutation(n)
+                assert average_precision(s[perm], y[perm]) == ap
 
     def test_random_scores_near_half(self):
         r = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coneighbor import model
 from coneighbor.errors import ConfigError, NumericalError, SnapshotError
 from coneighbor.model import (BLOCKS, CLAMP_EPS, AdamState, LinkPredictor,
                               ModelDims, SequenceFeatures, adam_init, adam_step,
@@ -79,6 +80,15 @@ class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         y, _ = layer_norm(np.full((1, 8), 4.2))
         np.testing.assert_array_equal(y, np.zeros((1, 8)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_matches_out_of_place(self, rng, dtype):
+        x = rng.normal(3.0, 2.5, (4, 6, 25)).astype(dtype)
+        want_y, want_inv = layer_norm(x)
+        y, inv = layer_norm(x, out=x)
+        assert y is x
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(inv, want_inv)
 
 
 class TestInit:
@@ -293,6 +303,60 @@ class TestFoldedLayer0:
             atol = 1e-10 * np.abs(want).max(initial=0.0)
             np.testing.assert_allclose(grads[k], want, rtol=1e-10, atol=atol,
                                        err_msg=k)
+
+
+class TestBlockedEncoder:
+    """Blocks of whole sequences compute the one-block function and draws."""
+
+    def outputs(self, monkeypatch, block_seqs, S, layers, training):
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=4,
+                         out_dim=3, layers=layers)
+        l, f = 5, dims.fused
+        # block_seqs whole float64 sequences per block
+        monkeypatch.setattr(model, "BLOCK_BYTES", block_seqs * l * f * 8)
+        r = np.random.default_rng(S)
+        params = init_params(dims, seed=4, time_span=5.0)
+        for v in params.values():
+            v += r.normal(scale=0.2, size=v.shape)
+        feats = make_feats(r, S=S, l=l, d_N=2, d_E=1)
+        pred = LinkPredictor(dims, dropout=0.3)
+        a = np.arange(S)
+        pos, neg = (a, np.roll(a, 1)), (np.roll(a, 2), a)
+        h, tape = pred.encode(params, feats, training=training,
+                              rng=np.random.default_rng(21))
+        loss, grads, _ = pred.loss_and_grads(params, feats, pos, neg,
+                                             training=training,
+                                             rng=np.random.default_rng(21))
+        return h, tape, loss, grads
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("S", [8, 2, 1])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_one_block(self, monkeypatch, layers, S, training):
+        # 3 sequences per block: S=8 ends in a ragged block of 2, S=2 and
+        # S=1 fit in one block
+        h, tape, loss, grads = self.outputs(monkeypatch, 3, S, layers, training)
+        h1, tape1, loss1, grads1 = self.outputs(monkeypatch, 10 ** 6, S,
+                                                layers, training)
+        np.testing.assert_allclose(h, h1, rtol=1e-12, atol=1e-12)
+        for got, want in zip(tape.layers, tape1.layers):
+            for a, b in zip(got, want):
+                if a is None or b is None:
+                    assert a is None and b is None
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert loss == pytest.approx(loss1, rel=1e-12)
+        for k, want in grads1.items():
+            atol = 1e-12 * np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(grads[k], want, rtol=1e-12, atol=atol,
+                                       err_msg=k)
+
+    @pytest.mark.parametrize("S", [8, 1])
+    def test_masks_are_whole_layer_draws(self, monkeypatch, S):
+        _, tape, _, _ = self.outputs(monkeypatch, 3, S, 2, True)
+        r = np.random.default_rng(21)
+        for _, y, _, mask in tape.layers:
+            np.testing.assert_array_equal(mask, r.random(y.shape) >= 0.3)
 
 
 class TestDropout:
