@@ -246,26 +246,33 @@ def build_split(g: TemporalGraph, cfg: RunConfig) -> SplitSpec:
     return split
 
 
+def _stream_setup(g: TemporalGraph, cfg: RunConfig):
+    """Validate cfg; build the split, empty state, feature tables, eval pool.
+
+    Everything here is a function of (g, cfg) alone, so training and a
+    later checkpoint evaluation replay the stream against the same state.
+    """
+    cfg.validate()
+    split = build_split(g, cfg)
+    tdm = TemporalDiverseMemory.from_seed(g.num_nodes, cfg.long_size,
+                                          cfg.short_size, cfg.seed)
+    return (split, tdm, HistoryStore(g.num_nodes), feature_tables(g, cfg),
+            destination_pool(g))
+
+
 def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
         checkpoint_path=None) -> dict:
     """Full train/validate/test cycle with early stopping on validation AP."""
-    cfg.validate()
     t0 = time.perf_counter()
-    split = build_split(g, cfg)
+    split, tdm, hist, ft, eval_pool = _stream_setup(g, cfg)
     dims = ModelDims(node_dim=g.node_dim, edge_dim=g.edge_dim,
                      time_dim=cfg.time_dim, hidden=cfg.hidden,
                      out_dim=cfg.out_dim, layers=cfg.layers)
-    dtype = np.float32 if cfg.float32 else np.float64
     span = float(g.t[-1] - g.t[0])
-    params = init_params(dims, cfg.seed, time_span=span, dtype=dtype)
+    params = init_params(dims, cfg.seed, time_span=span, dtype=ft.dtype)
     predictor = LinkPredictor(dims, cfg.dropout)
     adam = adam_init(params)
-    tdm = TemporalDiverseMemory.from_seed(g.num_nodes, cfg.long_size,
-                                          cfg.short_size, cfg.seed)
-    hist = HistoryStore(g.num_nodes)
-    ft = feature_tables(g, cfg)
     train_pool = destination_pool_for_training(g, split)
-    eval_pool = destination_pool(g)
 
     epochs, train_loss, val_ap, val_auc = [], [], [], []
     best_ap, best_epoch, best_params, bad = -np.inf, -1, None, 0
@@ -336,15 +343,9 @@ def replay_train(g: TemporalGraph, split: SplitSpec,
 def evaluate_checkpoint(g: TemporalGraph, cfg: RunConfig, params,
                         dims: ModelDims, dataset: str = "stream") -> dict:
     """Replay the train stream for state, then score val and test."""
-    cfg.validate()
     t0 = time.perf_counter()
-    split = build_split(g, cfg)
+    split, tdm, hist, ft, eval_pool = _stream_setup(g, cfg)
     predictor = LinkPredictor(dims, cfg.dropout)
-    tdm = TemporalDiverseMemory.from_seed(g.num_nodes, cfg.long_size,
-                                          cfg.short_size, cfg.seed)
-    hist = HistoryStore(g.num_nodes)
-    ft = feature_tables(g, cfg)
-    eval_pool = destination_pool(g)
     replay_train(g, split, tdm, hist, cfg)
     vm = evaluate(g, split, tdm, hist, predictor, params, cfg, VAL,
                   ft, eval_pool, keep_state=True)

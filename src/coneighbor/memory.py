@@ -71,12 +71,24 @@ class HashTableMemory:
 
         Where several writes hit the same slot the last one wins.  That is
         resolved here by keeping the last occurrence of each slot, not left
-        to numpy's unspecified order for duplicate fancy-assignment indices.
+        to numpy's unspecified order for duplicate fancy-assignment indices:
+        each write's key packs its flat slot above its position i in b low
+        bits, so one unstable sort orders the keys by slot and then by i,
+        and the last key of each run of equal slots names the winner.
         """
+        n = values.size
+        if n == 0:
+            return
+        b = (n - 1).bit_length()
+        if self.table.size << b > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"a table of {self.table.size} slots cannot take {n} writes "
+                "at once: the packed sort keys would overflow int64")
         lin = rows * self.width + self.slot_of(values)
-        _, first_rev = np.unique(lin[::-1], return_index=True)
-        last = lin.size - 1 - first_rev
-        self.table.reshape(-1)[lin[last]] = values[last]
+        keys = np.sort((lin << b) | np.arange(n))
+        slot = keys >> b
+        last = np.append(slot[1:] != slot[:-1], True)
+        self.table.reshape(-1)[slot[last]] = values[keys[last] & ((1 << b) - 1)]
 
     def co_count(self, a: int, b: int, mode: str = MATCH_PAPER) -> int:
         _check_mode(mode)

@@ -12,7 +12,7 @@ from coneighbor.harness import (HASHTABLE_AXIS, FeatureTables, build_split,
                                 replay_train, run, run_sweep,
                                 stack_pair_features, train_epoch, write_json)
 from coneighbor.history import HistoryStore
-from coneighbor.memory import TemporalDiverseMemory
+from coneighbor.memory import TemporalDiverseMemory, check_slot_consistency
 from coneighbor.model import (LinkPredictor, ModelDims, adam_init,
                               copy_params, init_params, load_params)
 from coneighbor.synthetic import (TriadicStreamConfig, random_stream,
@@ -223,6 +223,37 @@ class TestEvaluate:
         res = run(rand_graph, cfg)
         assert res["mode"] == "inductive"
         assert 0.0 <= res["test_ap"] <= 1.0
+
+
+class TestSelfLoops:
+    def test_replay_writes_self_loops_as_documented(self):
+        """Node 0 only ever links to itself; everything else is random.
+
+        Each self-loop logs two entries with peer 0, and 0 is written into
+        its own rows at its own slot and nowhere else.
+        """
+        r = np.random.default_rng(4)
+        src, dst = r.integers(1, 12, size=(2, 500))
+        loop = r.random(500) < 0.1
+        src[loop] = dst[loop] = 0
+        other = ~loop & (r.random(500) < 0.1)    # self-loops on other nodes
+        dst[other] = src[other]
+        g = from_arrays(src, dst, np.sort(r.integers(0, 250, size=500)))
+        cfg = tiny_cfg(long_size=8, short_size=2, batch_size=37)
+        split, tdm, hist = fresh_state(g, cfg)
+        replay_train(g, split, tdm, hist, cfg)
+
+        train_loops = np.count_nonzero(loop[:split.train_end])
+        assert train_loops > 3
+        assert hist.degree(0) == 2 * train_loops
+        window = hist.recent_batch([0], [g.t[-1] + 1], cfg.seq_len)
+        assert (window.peers[0] == 0).all()
+        for mem in tdm.tables():
+            check_slot_consistency(mem)
+            row = np.full(mem.width, mem.sentinel)
+            row[mem.slot_of(0)] = 0
+            np.testing.assert_array_equal(mem.table[0], row)
+            assert not (mem.table[1:] == 0).any()
 
 
 class TestCausalityAudit:

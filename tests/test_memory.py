@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
@@ -68,6 +68,51 @@ class TestHashTableBasics:
         m = HashTableMemory(16, 4, 1)
         m.insert_many(0, np.array([3, 7, 11]))   # all map to slot 3
         assert m.table[0, 3] == 11
+
+    def test_insert_many_empty_is_a_no_op(self):
+        m = HashTableMemory(8, 4, 1)
+        m.insert(2, 5)
+        before = m.table.copy()
+        m.insert_many(2, np.array([], dtype=np.int64))
+        m.insert_many(3, [])
+        np.testing.assert_array_equal(m.table, before)
+
+    def test_write_rejects_keys_that_overflow_int64(self):
+        m = HashTableMemory(1, 1, 1)
+        # a read-only view of 2^59 slots; 16 writes take 4 key bits: 2^63
+        m.table = np.broadcast_to(np.int64(1), (2 ** 30, 2 ** 29))
+        with pytest.raises(ConfigError, match="overflow"):
+            m.write(np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(0, 40), st.integers(1, 60),
+       st.integers(1, 5), st.integers(0, 50).map(lambda k: 2 * k + 1),
+       st.integers(1, 6))
+@example(0, 0, 5, 3, 1, 2)          # b = 0 keys, and nothing to write
+@example(1, 1, 5, 3, 1, 2)
+@example(2, 2, 5, 3, 1, 2)          # b = 1
+@example(3, 1023, 9, 4, 3, 2)       # b = 10
+@example(4, 1024, 9, 4, 3, 2)
+@example(5, 1025, 9, 4, 3, 9)       # b = 11
+def test_write_equals_insert_loop(seed, n, num_nodes, width, q, spread):
+    """write() leaves what inserting the same (row, value) pairs in order does.
+
+    Rows come from the last `spread` nodes, so the flat slot indices reach
+    the top of the table, and widths of a few slots make most writes
+    collide, many times over for the longer lists.
+    """
+    r = np.random.default_rng(seed)
+    rows = r.integers(max(0, num_nodes - spread), num_nodes, size=n)
+    values = r.integers(0, num_nodes, size=n)
+    fast, ref = (HashTableMemory(num_nodes, width, q) for _ in range(2))
+    for row, val in r.integers(num_nodes, size=(10, 2)):   # non-empty start
+        fast.insert(int(row), int(val))
+        ref.insert(int(row), int(val))
+    fast.write(rows, values)
+    for row, val in zip(rows, values):
+        ref.insert(int(row), int(val))
+    np.testing.assert_array_equal(fast.table, ref.table)
 
 
 class TestCoCount:
