@@ -11,7 +11,7 @@ from .data import (CsvLayout, SplitSpec, TemporalGraph,
                    select_inductive_nodes)
 from .history import HistoryStore, NeighborSequence, NeighborSequenceBatch
 from .memory import (CoNeighborFeature, ExactNeighborLog, HashTableMemory,
-                     MemoryImage, TemporalDiverseMemory)
+                     TemporalDiverseMemory)
 from .metrics import auc_roc, average_precision
 from .model import (AdamState, GradientTape, LinkPredictor, ModelDims,
                     SequenceFeatures, adam_init, adam_step, bce_loss,
@@ -25,7 +25,7 @@ __all__ = [
     "chronological_split", "load_events", "sample_negative",
     "select_inductive_nodes", "HistoryStore", "NeighborSequence",
     "NeighborSequenceBatch", "CoNeighborFeature", "ExactNeighborLog",
-    "HashTableMemory", "MemoryImage", "TemporalDiverseMemory",
+    "HashTableMemory", "TemporalDiverseMemory",
     "auc_roc", "average_precision", "AdamState",
     "GradientTape", "LinkPredictor", "ModelDims", "SequenceFeatures",
     "adam_init", "adam_step", "bce_loss", "init_params", "layer_norm",

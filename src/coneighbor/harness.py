@@ -2,15 +2,17 @@
 
 The discipline is predict-then-update: within a batch every score is
 computed against memory and history state from before the batch, then the
-batch's positive events are written back in stream order.  Epochs reset
-the state and replay the stream from the start.  Because the state only
-depends on the event stream (never on model parameters), the post-val
-state is identical in every epoch, which lets ``run`` score test with the
-best parameters straight from the last epoch's validation pass.
+batch's positive events are written back in stream order.  One driver,
+``stream_batches``, does this for training, evaluation, replay and the
+oracle.  Epochs reset the state and replay the stream from the start.
+Because the state only depends on the event stream (never on model
+parameters), the post-val state is identical in every epoch, which lets
+``run`` score test with the best parameters straight from the last
+epoch's validation pass.
 
-Evaluation keeps evolving the state through val and test events (stale
-neighborhoods would otherwise degrade test scores) but snapshots and
-restores around each phase so repeated evaluation is idempotent.
+Evaluation advances the state through val and test events (stale
+neighborhoods would otherwise degrade test scores), so a phase is scored
+against the state its predecessors left; calling it twice is not a repeat.
 """
 
 from __future__ import annotations
@@ -61,15 +63,6 @@ def feature_tables(g: TemporalGraph, cfg: RunConfig) -> FeatureTables:
     return FeatureTables(node_ext, edge_ext, dtype)
 
 
-def _tile(seq: NeighborSequenceBatch, k: int) -> NeighborSequenceBatch:
-    if k == 1:
-        return seq
-    return NeighborSequenceBatch(
-        np.tile(seq.anchors, k), np.tile(seq.t, k),
-        np.tile(seq.peers, (k, 1)), np.tile(seq.dt, (k, 1)),
-        np.tile(seq.eidx, (k, 1)), np.tile(seq.valid, (k, 1)))
-
-
 def _take(seq: NeighborSequenceBatch, idx: np.ndarray) -> NeighborSequenceBatch:
     return NeighborSequenceBatch(seq.anchors[idx], seq.t[idx],
                                  seq.peers[idx], seq.dt[idx],
@@ -114,15 +107,66 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
                             co_long=co_long, co_short=co_short)
 
 
-def _apply_batch_updates(g: TemporalGraph, cfg: RunConfig,
-                         tdm: TemporalDiverseMemory, hist: HistoryStore,
-                         ev: np.ndarray, squ: NeighborSequenceBatch,
-                         sqv: NeighborSequenceBatch) -> None:
-    src, dst = g.src[ev], g.dst[ev]
-    tdm.apply_link_update(src, dst, squ, sqv, two_order=not cfg.no_tup,
-                          neighbor_update=not cfg.no_nup,
-                          update_short=not cfg.no_td)
-    hist.record_batch(src, dst, g.t[ev], ev)
+def stream_batches(g: TemporalGraph, batches, tdm: TemporalDiverseMemory,
+                   hist: HistoryStore, cfg: RunConfig):
+    """Predict-then-update over a stream cut into batches of event indices.
+
+    Yields (ev, squ, sqv): the batch and its endpoints' windows, taken
+    before the batch.  When the consumer asks for the next batch, this one
+    is written to the tables and the history; a consumer that stops early
+    leaves its last batch unwritten.  Every stream loop runs through here.
+    """
+    for ev in batches:
+        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
+        squ = hist.recent_batch(u, t, cfg.seq_len)
+        sqv = hist.recent_batch(v, t, cfg.seq_len)
+        yield ev, squ, sqv
+        tdm.apply_link_update(u, v, squ, sqv, two_order=not cfg.no_tup,
+                              neighbor_update=not cfg.no_nup,
+                              update_short=not cfg.no_td)
+        hist.record_batch(u, v, t, ev)
+
+
+def _cut(idx: np.ndarray, size: int) -> list[np.ndarray]:
+    return [idx[lo:lo + size] for lo in range(0, idx.size, size)]
+
+
+def _pair_features(g: TemporalGraph, ev: np.ndarray,
+                   squ: NeighborSequenceBatch, sqv: NeighborSequenceBatch,
+                   tdm: TemporalDiverseMemory, hist: HistoryStore,
+                   cfg: RunConfig, ft: FeatureTables, pool: np.ndarray,
+                   rng: np.random.Generator):
+    """Encoder inputs for B positive pairs and their k negatives each.
+
+    Draws the negatives, then their windows.  The four sides are (u, v),
+    (v, u), (u, negative) and (negative, u); returns the feature stack and
+    the (left, right) row indices of the positive and negative pairs.
+    """
+    u, v, t = g.src[ev], g.dst[ev], g.t[ev]
+    B, k = ev.size, cfg.neg_ratio
+    neg = sample_negative(B * k, pool, rng)
+    sqn = hist.recent_batch(neg, np.tile(t, k), cfg.seq_len)
+    sides = [(squ, v), (sqv, u), (_take(squ, np.tile(np.arange(B), k)), neg),
+             (sqn, np.tile(u, k))]
+    r, rn = np.arange(B), np.arange(B * k)
+    return (stack_pair_features(ft, cfg, tdm, sides), (r, B + r),
+            (2 * B + rn, (2 + k) * B + rn))
+
+
+def _metrics(phase: str, scored: list, loss_sum: float, t0: float) -> Metrics:
+    """AP/AUC over the batches' (pos, neg) scores, in batch order.
+
+    loss_sum is the sum over batches of mean loss times positive events.
+    """
+    if not scored:
+        raise UndefinedMetricError(f"no scored events in phase {phase!r}")
+    s = np.concatenate([x for pair in scored for x in pair])
+    y = np.concatenate([np.r_[np.ones(pp.size, dtype=bool),
+                              np.zeros(pn.size, dtype=bool)]
+                        for pp, pn in scored])
+    return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y),
+                   loss=loss_sum / sum(pp.size for pp, _ in scored),
+                   wall_time=time.perf_counter() - t0)
 
 
 def train_epoch(g: TemporalGraph, split: SplitSpec,
@@ -134,108 +178,48 @@ def train_epoch(g: TemporalGraph, split: SplitSpec,
     t0 = time.perf_counter()
     rng_neg = np.random.default_rng([cfg.seed, 0x4E6, epoch])
     rng_drop = np.random.default_rng([cfg.seed, 0xD80, epoch])
-    idx = train_event_indices(g, split)
-    k = cfg.neg_ratio
-    loss_sum, loss_events = 0.0, 0
-    scores, labels = [], []
-
-    for lo in range(0, idx.size, cfg.batch_size):
-        ev = idx[lo:lo + cfg.batch_size]
-        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-        B = ev.shape[0]
-        squ = hist.recent_batch(u, t, cfg.seq_len)
-        sqv = hist.recent_batch(v, t, cfg.seq_len)
-        neg = sample_negative(B * k, train_pool, rng_neg)
-        sqn = hist.recent_batch(neg, np.tile(t, k), cfg.seq_len)
-
-        sides = [(squ, v), (sqv, u), (_tile(squ, k), neg), (sqn, np.tile(u, k))]
-        feats = stack_pair_features(ft, cfg, tdm, sides)
-        r = np.arange(B)
-        pos_pairs = (r, B + r)
-        neg_pairs = (2 * B + np.arange(B * k), (2 + k) * B + np.arange(B * k))
-        loss, grads, (pp, pn) = predictor.loss_and_grads(
-            params, feats, pos_pairs, neg_pairs, training=True, rng=rng_drop)
+    batches = _cut(train_event_indices(g, split), cfg.batch_size)
+    loss_sum, scored = 0.0, []
+    for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
+        feats, pos, neg = _pair_features(g, ev, squ, sqv, tdm, hist, cfg, ft,
+                                         train_pool, rng_neg)
+        loss, grads, pair = predictor.loss_and_grads(
+            params, feats, pos, neg, training=True, rng=rng_drop)
         adam_step(params, grads, adam, lr=cfg.lr)
-
-        loss_sum += loss * B
-        loss_events += B
-        scores.append(pp)
-        scores.append(pn)
-        labels.append(np.ones(pp.size, dtype=bool))
-        labels.append(np.zeros(pn.size, dtype=bool))
-
-        _apply_batch_updates(g, cfg, tdm, hist, ev, squ, sqv)
-
-    s = np.concatenate(scores)
-    y = np.concatenate(labels)
-    return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y),
-                   loss=loss_sum / max(loss_events, 1),
-                   wall_time=time.perf_counter() - t0)
+        loss_sum += loss * ev.size
+        scored.append(pair)
+    return _metrics("train", scored, loss_sum, t0)
 
 
 def evaluate(g: TemporalGraph, split: SplitSpec,
              tdm: TemporalDiverseMemory, hist: HistoryStore,
              predictor: LinkPredictor, params, cfg: RunConfig, phase: str,
-             ft: FeatureTables, eval_pool: np.ndarray,
-             keep_state: bool = False) -> Metrics:
+             ft: FeatureTables, eval_pool: np.ndarray) -> Metrics:
     """Score one phase without touching parameters.
 
-    State advances through every phase event; with keep_state False (the
-    default) a snapshot/restore bracket makes the call idempotent.  In
-    inductive mode only events touching a masked node are scored, but all
-    events advance the state.
+    The state advances through every phase event, so the next phase is
+    scored against it.  In inductive mode only events touching a masked
+    node are scored, but all events advance the state.
     """
     t0 = time.perf_counter()
-    if not keep_state:
-        snap_m, snap_h = tdm.snapshot(), hist.snapshot()
     lo, hi = split.phase_range(phase)
     mask = scored_event_mask(g, split, phase)
     rng_neg = np.random.default_rng([cfg.seed, 0xEA7, lo])
-    k = cfg.neg_ratio
-    scores, labels = [], []
-    loss_sum, loss_events = 0.0, 0
-
-    for start in range(lo, hi, cfg.batch_size):
-        ev = np.arange(start, min(start + cfg.batch_size, hi))
-        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-        squ = hist.recent_batch(u, t, cfg.seq_len)
-        sqv = hist.recent_batch(v, t, cfg.seq_len)
-
+    batches = _cut(np.arange(lo, hi), cfg.batch_size)
+    loss_sum, scored = 0.0, []
+    for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
         m = np.flatnonzero(mask[ev - lo])
-        if m.size:
-            B = m.size
-            um, vm, tm = u[m], v[m], t[m]
-            squ_m, sqv_m = _take(squ, m), _take(sqv, m)
-            neg = sample_negative(B * k, eval_pool, rng_neg)
-            sqn = hist.recent_batch(neg, np.tile(tm, k), cfg.seq_len)
-            sides = [(squ_m, vm), (sqv_m, um),
-                     (_tile(squ_m, k), neg), (sqn, np.tile(um, k))]
-            feats = stack_pair_features(ft, cfg, tdm, sides)
-            r = np.arange(B)
-            pos_pairs = (r, B + r)
-            neg_pairs = (2 * B + np.arange(B * k), (2 + k) * B + np.arange(B * k))
-            H, _ = predictor.encode(params, feats, training=False)
-            pp = predictor.score(params, H[pos_pairs[0]], H[pos_pairs[1]])
-            pn = predictor.score(params, H[neg_pairs[0]], H[neg_pairs[1]])
-            loss_sum += bce_loss(pp, pn) * B
-            loss_events += B
-            scores.append(pp)
-            scores.append(pn)
-            labels.append(np.ones(pp.size, dtype=bool))
-            labels.append(np.zeros(pn.size, dtype=bool))
-
-        _apply_batch_updates(g, cfg, tdm, hist, ev, squ, sqv)
-
-    if not keep_state:
-        tdm.restore(snap_m)
-        hist.restore(snap_h)
-    if not scores:
-        raise UndefinedMetricError(f"no scored events in phase {phase!r}")
-    s = np.concatenate(scores)
-    y = np.concatenate(labels)
-    return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y),
-                   loss=loss_sum / max(loss_events, 1),
-                   wall_time=time.perf_counter() - t0)
+        if not m.size:
+            continue
+        feats, pos, neg = _pair_features(g, ev[m], _take(squ, m),
+                                         _take(sqv, m), tdm, hist, cfg, ft,
+                                         eval_pool, rng_neg)
+        H, _ = predictor.encode(params, feats, training=False)
+        pp = predictor.score(params, H[pos[0]], H[pos[1]])
+        pn = predictor.score(params, H[neg[0]], H[neg[1]])
+        loss_sum += bce_loss(pp, pn) * m.size
+        scored.append((pp, pn))
+    return _metrics(phase, scored, loss_sum, t0)
 
 
 def build_split(g: TemporalGraph, cfg: RunConfig) -> SplitSpec:
@@ -281,10 +265,10 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
         hist.reset()
         tr = train_epoch(g, split, tdm, hist, predictor, params, adam, cfg,
                          epoch, ft, train_pool)
-        # keep the post-val state: the next epoch resets it, and after the
-        # last epoch the test phase starts from it
+        # validation advances the state: the next epoch resets it, and after
+        # the last epoch the test phase starts from it
         vm = evaluate(g, split, tdm, hist, predictor, params, cfg, VAL,
-                      ft, eval_pool, keep_state=True)
+                      ft, eval_pool)
         epochs.append(epoch)
         train_loss.append(tr.loss)
         val_ap.append(vm.ap)
@@ -303,7 +287,7 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
     # state is the post-val replay of the last epoch; replays are
     # parameter-independent, so it matches the best epoch's state exactly
     tm = evaluate(g, split, tdm, hist, predictor, final, cfg, TEST,
-                  ft, eval_pool, keep_state=True)
+                  ft, eval_pool)
     return {
         "dataset": dataset,
         "mode": cfg.mode,
@@ -331,13 +315,9 @@ def replay_train(g: TemporalGraph, split: SplitSpec,
                  tdm: TemporalDiverseMemory, hist: HistoryStore,
                  cfg: RunConfig) -> None:
     """Advance memory and history through the train stream, no model."""
-    idx = train_event_indices(g, split)
-    for lo in range(0, idx.size, cfg.batch_size):
-        ev = idx[lo:lo + cfg.batch_size]
-        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-        squ = hist.recent_batch(u, t, cfg.seq_len)
-        sqv = hist.recent_batch(v, t, cfg.seq_len)
-        _apply_batch_updates(g, cfg, tdm, hist, ev, squ, sqv)
+    batches = _cut(train_event_indices(g, split), cfg.batch_size)
+    for _ in stream_batches(g, batches, tdm, hist, cfg):
+        pass
 
 
 def evaluate_checkpoint(g: TemporalGraph, cfg: RunConfig, params,
@@ -348,9 +328,9 @@ def evaluate_checkpoint(g: TemporalGraph, cfg: RunConfig, params,
     predictor = LinkPredictor(dims, cfg.dropout)
     replay_train(g, split, tdm, hist, cfg)
     vm = evaluate(g, split, tdm, hist, predictor, params, cfg, VAL,
-                  ft, eval_pool, keep_state=True)
+                  ft, eval_pool)
     tm = evaluate(g, split, tdm, hist, predictor, params, cfg, TEST,
-                  ft, eval_pool, keep_state=True)
+                  ft, eval_pool)
     return {
         "dataset": dataset,
         "mode": cfg.mode,

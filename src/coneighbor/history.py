@@ -72,7 +72,6 @@ class HistoryStore:
         self._eidx = np.empty(0, dtype=np.int64)
         self._prev = np.empty(0, dtype=np.int64)
         self._head = np.full(num_nodes, -1, dtype=np.int64)
-        self._degree = np.zeros(num_nodes, dtype=np.int64)
 
     def record(self, u: int, v: int, t: float, edge_idx: int) -> None:
         """Append the interaction to both endpoint logs."""
@@ -115,8 +114,6 @@ class HistoryStore:
         # the entries written above stay invisible until the heads move
         self._prev[o_pos] = prev
         self._head[o_owner[last]] = o_pos[last]
-        self._degree[o_owner[first]] += (np.flatnonzero(last)
-                                         - np.flatnonzero(first) + 1)
         self._size = end
 
     def _reserve(self, size: int) -> None:
@@ -169,19 +166,6 @@ class HistoryStore:
             live = live[cur[live] >= 0]
         return NeighborSequenceBatch(anchors, ts, peers, dt, eidx, valid)
 
-    def degree(self, node: int) -> int:
-        return int(self._degree[node])
-
-    def snapshot(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Log length, heads and degrees suffice: the log is append-only."""
-        return self._size, self._head.copy(), self._degree.copy()
-
-    def restore(self, snap: tuple[int, np.ndarray, np.ndarray]) -> None:
-        self._size = snap[0]
-        np.copyto(self._head, snap[1])
-        np.copyto(self._degree, snap[2])
-
     def reset(self) -> None:
         self._size = 0
         self._head.fill(-1)
-        self._degree.fill(0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MATCH_PAPER, MATCH_STRICT
-from .errors import ConfigError, ProtocolError, SnapshotError
+from .errors import ConfigError, ProtocolError
 from .history import NeighborSequence, NeighborSequenceBatch
 
 
@@ -121,19 +121,6 @@ class HashTableMemory:
 
     def reset(self) -> None:
         self.table.fill(self.sentinel)
-
-
-@dataclass
-class MemoryImage:
-    """In-memory copy of a TemporalDiverseMemory's tables and shape."""
-
-    num_nodes: int
-    long_width: int
-    long_multiplier: int
-    short_width: int
-    short_multiplier: int
-    long_table: np.ndarray
-    short_table: np.ndarray
 
 
 def _valid_nonself_peers(seq: NeighborSequence) -> np.ndarray:
@@ -254,25 +241,6 @@ class TemporalDiverseMemory:
     def reset(self) -> None:
         self.long.reset()
         self.short.reset()
-
-    # -- state ---------------------------------------------------------
-
-    def snapshot(self) -> MemoryImage:
-        return MemoryImage(self.num_nodes,
-                           self.long.width, self.long.multiplier,
-                           self.short.width, self.short.multiplier,
-                           self.long.table.copy(), self.short.table.copy())
-
-    def restore(self, image: MemoryImage) -> None:
-        same = (image.num_nodes == self.num_nodes
-                and image.long_width == self.long.width
-                and image.long_multiplier == self.long.multiplier
-                and image.short_width == self.short.width
-                and image.short_multiplier == self.short.multiplier)
-        if not same:
-            raise SnapshotError("memory image does not match this memory's shape")
-        np.copyto(self.long.table, image.long_table)
-        np.copyto(self.short.table, image.short_table)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MATCH_STRICT, RunConfig
+from .harness import stream_batches
 from .history import HistoryStore
 from .memory import ExactNeighborLog, TemporalDiverseMemory
 from .synthetic import random_stream
@@ -86,25 +87,22 @@ def check_stream(num_nodes: int, num_events: int, long_width: int,
     log = ExactNeighborLog(g.num_nodes)
     report = StreamReport(seed, g.num_nodes, g.num_events,
                           long_width, short_width)
+    cfg = RunConfig(seq_len=seq_len, no_tup=not two_order,
+                    no_nup=not neighbor_update)
     E = g.num_events
     stops = np.unique(np.linspace(0, E - 1, checkpoints + 1)[1:].astype(int))
-    # replay in batches as the harness does, cutting one after each audit
-    cuts = np.union1d(np.r_[np.arange(0, E, RunConfig().batch_size), E],
-                      stops + 1)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ev = np.arange(lo, hi)
-        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-        squ = hist.recent_batch(u, t, seq_len)
-        sqv = hist.recent_batch(v, t, seq_len)
-        tdm.apply_link_update(u, v, squ, sqv, two_order=two_order,
-                              neighbor_update=neighbor_update)
-        for j in range(ev.size):
-            log.apply_link_update(int(u[j]), int(v[j]), squ.row(j),
+    # replay in batches as the harness does, cutting one after each stop;
+    # a stop is audited once its batch is written, when the next arrives
+    cuts = np.union1d(np.r_[np.arange(0, E, cfg.batch_size), E], stops + 1)
+    batches = np.split(np.arange(E), cuts[1:-1])
+    for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
+        if ev[0] - 1 in stops:
+            _audit_pairs(tdm, log, report)
+        for j, e in enumerate(ev):
+            log.apply_link_update(int(g.src[e]), int(g.dst[e]), squ.row(j),
                                   sqv.row(j), two_order=two_order,
                                   neighbor_update=neighbor_update)
-        hist.record_batch(u, v, t, ev)
-        if hi - 1 in stops:
-            _audit_pairs(tdm, log, report)
+    _audit_pairs(tdm, log, report)     # the last stop is the last event
     return report
 
 

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from coneighbor.config import RunConfig
-from coneighbor.data import TEST, VAL, from_arrays
+from coneighbor.data import TEST, VAL, from_arrays, train_event_indices
 from coneighbor.harness import (HASHTABLE_AXIS, FeatureTables, build_split,
                                 destination_pool_for_training, evaluate,
                                 evaluate_checkpoint, feature_tables,
                                 replay_train, run, run_sweep,
-                                stack_pair_features, train_epoch, write_json)
+                                stack_pair_features, stream_batches,
+                                train_epoch, write_json)
 from coneighbor.history import HistoryStore
 from coneighbor.memory import TemporalDiverseMemory, check_slot_consistency
 from coneighbor.model import (LinkPredictor, ModelDims, adam_init,
                               copy_params, init_params, load_params)
+from coneighbor.oracle import check_stream
 from coneighbor.synthetic import (TriadicStreamConfig, random_stream,
                                   triadic_closure_stream)
 
@@ -183,26 +185,35 @@ class TestTrainEpoch:
 
 
 class TestEvaluate:
-    def test_idempotent_without_keep_state(self, rand_graph):
+    def test_evaluate_advances_the_state(self, rand_graph):
+        """Scoring val leaves the state of a replay through the val events."""
         cfg = tiny_cfg()
         split, tdm, hist = fresh_state(rand_graph, cfg)
         replay_train(rand_graph, split, tdm, hist, cfg)
+        table_before = tdm.long.table.copy()
         dims = ModelDims(0, 2, cfg.time_dim, cfg.hidden, cfg.out_dim,
                          cfg.layers)
         params = init_params(dims, 0, dtype=np.float32)
-        pred = LinkPredictor(dims, cfg.dropout)
-        ft = feature_tables(rand_graph, cfg)
-        pool = destination_pool_for_training(rand_graph, split)
-        a = evaluate(rand_graph, split, tdm, hist, pred, params, cfg, VAL,
-                     ft, pool)
-        table_after_a = tdm.long.table.copy()
-        b = evaluate(rand_graph, split, tdm, hist, pred, params, cfg, VAL,
-                     ft, pool)
-        assert (a.ap, a.auc, a.loss) == (b.ap, b.auc, b.loss)
-        np.testing.assert_array_equal(tdm.long.table, table_after_a)
-        evaluate(rand_graph, split, tdm, hist, pred, params, cfg, VAL,
-                 ft, pool, keep_state=True)
-        assert (tdm.long.table != table_after_a).any()
+        evaluate(rand_graph, split, tdm, hist, LinkPredictor(dims, cfg.dropout),
+                 params, cfg, VAL, feature_tables(rand_graph, cfg),
+                 destination_pool_for_training(rand_graph, split))
+        assert (tdm.long.table != table_before).any()
+
+        def cut(lo, hi):
+            return [np.arange(s, min(s + cfg.batch_size, hi))
+                    for s in range(lo, hi, cfg.batch_size)]
+
+        _, ref_tdm, ref_hist = fresh_state(rand_graph, cfg)
+        batches = cut(0, split.train_end) + cut(split.train_end, split.val_end)
+        for _ in stream_batches(rand_graph, batches, ref_tdm, ref_hist, cfg):
+            pass
+        for mem, ref in zip(tdm.tables(), ref_tdm.tables()):
+            np.testing.assert_array_equal(mem.table, ref.table)
+        nodes = np.arange(rand_graph.num_nodes)
+        later = np.full(nodes.size, rand_graph.t[-1] + 1)
+        got = hist.recent_batch(nodes, later, 64)
+        want = ref_hist.recent_batch(nodes, later, 64)
+        np.testing.assert_array_equal(got.eidx, want.eidx)
 
     def test_untrained_model_scores_near_chance(self):
         g = random_stream(50, 3000, seed=2)
@@ -214,8 +225,7 @@ class TestEvaluate:
         params = init_params(dims, 5, dtype=np.float32)
         pred = LinkPredictor(dims, cfg.dropout)
         m = evaluate(g, split, tdm, hist, pred, params, cfg, TEST,
-                     feature_tables(g, cfg), destination_pool_for_training(g, split),
-                     keep_state=False)
+                     feature_tables(g, cfg), destination_pool_for_training(g, split))
         assert abs(m.auc - 0.5) < 0.05
 
     def test_inductive_run_completes(self, rand_graph):
@@ -245,9 +255,10 @@ class TestSelfLoops:
 
         train_loops = np.count_nonzero(loop[:split.train_end])
         assert train_loops > 3
-        assert hist.degree(0) == 2 * train_loops
-        window = hist.recent_batch([0], [g.t[-1] + 1], cfg.seq_len)
-        assert (window.peers[0] == 0).all()
+        # a window after the last event, long enough for the whole log
+        window = hist.recent_batch([0], [g.t[-1] + 1], 2 * train_loops + 2)
+        assert window.valid[0].sum() == 1 + 2 * train_loops
+        assert (window.peers[0, window.valid[0]] == 0).all()
         for mem in tdm.tables():
             check_slot_consistency(mem)
             row = np.full(mem.width, mem.sentinel)
@@ -256,39 +267,75 @@ class TestSelfLoops:
             assert not (mem.table[1:] == 0).any()
 
 
-class TestCausalityAudit:
-    def test_samples_precede_updates_in_every_batch(self, monkeypatch):
-        g = random_stream(30, 600, seed=4)
-        cfg = tiny_cfg(epochs=1, batch_size=100)
-        calls = []
-        orig_batch = HistoryStore.recent_batch
-        orig_record = HistoryStore.record_batch
+def _run_consumer(name, monkeypatch):
+    """Run one stream consumer with its reads and writes traced.
 
-        def spy_batch(self, anchors, ts, length):
-            calls.append("s")
-            return orig_batch(self, anchors, ts, length)
+    Reads (windows, co-neighbor counts) log "s" and writes (tables,
+    history) log "u".  Returns the trace and the number of batches.
+    """
+    g = random_stream(30, 1000, seed=4)
+    cfg = tiny_cfg(epochs=1, batch_size=50,
+                   mode="inductive" if name.endswith("inductive") else
+                   "transductive")
+    split, tdm, hist = fresh_state(g, cfg)
+    dims = ModelDims(0, 0, cfg.time_dim, cfg.hidden, cfg.out_dim, cfg.layers)
+    params = init_params(dims, 0, dtype=np.float32)
+    pred = LinkPredictor(dims, cfg.dropout)
+    ft, pool = feature_tables(g, cfg), destination_pool_for_training(g, split)
+    if name.startswith("evaluate"):
+        replay_train(g, split, tdm, hist, cfg)     # untraced: state only
 
-        def spy_record(self, src, dst, t, eidx):
-            calls.append("u")
-            return orig_record(self, src, dst, t, eidx)
+    calls = []
+    for cls, attr, tag in ((HistoryStore, "recent_batch", "s"),
+                           (TemporalDiverseMemory, "co_encode_batch", "s"),
+                           (TemporalDiverseMemory, "apply_link_update", "u"),
+                           (HistoryStore, "record_batch", "u")):
+        def spy(*a, _orig=getattr(cls, attr), _tag=tag, **kw):
+            calls.append(_tag)
+            return _orig(*a, **kw)
+        monkeypatch.setattr(cls, attr, spy)
 
-        monkeypatch.setattr(HistoryStore, "recent_batch", spy_batch)
-        monkeypatch.setattr(HistoryStore, "record_batch", spy_record)
-        split, tdm, hist = fresh_state(g, cfg)
-        dims = ModelDims(0, 0, cfg.time_dim, cfg.hidden, cfg.out_dim,
-                         cfg.layers)
-        params = init_params(dims, 0, dtype=np.float32)
-        pred = LinkPredictor(dims, cfg.dropout)
+    def batches(n):
+        return -(-n // cfg.batch_size)
+
+    if name == "train_epoch":
         train_epoch(g, split, tdm, hist, pred, params, adam_init(params),
-                    cfg, 0, feature_tables(g, cfg),
-                    destination_pool_for_training(g, split))
-        trace = "".join(calls)
-        # strictly alternating groups: all of a batch's sequence extraction
-        # happens before any of its memory writes
+                    cfg, 0, ft, pool)
+        n = batches(train_event_indices(g, split).size)
+    elif name == "replay_train":
+        replay_train(g, split, tdm, hist, cfg)
+        n = batches(train_event_indices(g, split).size)
+    elif name == "check_stream":
+        # 500 events in batches of 200, cut after the audit stop 249 too
+        check_stream(num_nodes=30, num_events=500, long_width=64,
+                     short_width=16, seq_len=4, seed=4)
+        n = 4
+    else:
+        phase = TEST if "test" in name else VAL
+        evaluate(g, split, tdm, hist, pred, params, cfg, phase, ft, pool)
+        lo, hi = split.phase_range(phase)
+        n = batches(hi - lo)
+    return "".join(calls), n
+
+
+class TestCausalityAudit:
+    @staticmethod
+    def check(trace, n_batches):
+        # strictly alternating groups: all of a batch's reads happen
+        # before any of its writes, once per batch
         assert re.fullmatch(r"(s+u+)+", trace)
-        n_batches = -(-len(np.flatnonzero(np.arange(split.train_end))) //
-                      cfg.batch_size)
         assert trace.count("su") == n_batches
+
+    def test_samples_precede_updates_in_every_batch(self, monkeypatch):
+        self.check(*_run_consumer("train_epoch", monkeypatch))
+
+    @pytest.mark.parametrize("name", ["evaluate-val-transductive",
+                                      "evaluate-val-inductive",
+                                      "evaluate-test-transductive",
+                                      "replay_train", "check_stream"])
+    def test_every_other_consumer_reads_before_it_writes(self, name,
+                                                         monkeypatch):
+        self.check(*_run_consumer(name, monkeypatch))
 
 
 class TestRunDriver:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
-from coneighbor.errors import ConfigError, ProtocolError, SnapshotError
+from coneighbor.errors import ConfigError, ProtocolError
 from coneighbor.history import (HistoryStore, NeighborSequence,
                                 NeighborSequenceBatch)
 from coneighbor.memory import (ExactNeighborLog, HashTableMemory,
@@ -399,44 +399,6 @@ class TestShortLongDivergence:
         short_ids = set(tdm.short.table[0]) - {tdm.short.sentinel}
         assert long_ids == {1, 2, 3, 4, 5, 6, 7, 8}
         assert short_ids == {5, 6, 7, 8}
-
-
-class TestSnapshot:
-    def test_roundtrip_restores_counts(self, rng):
-        tdm = TemporalDiverseMemory(10, 8, 4, 1, 3)
-        for _ in range(50):
-            tdm.long.insert(int(rng.integers(10)), int(rng.integers(10)))
-        before = tdm.long.co_count(1, 2)
-        image = tdm.snapshot()
-        for _ in range(50):
-            tdm.long.insert(int(rng.integers(10)), int(rng.integers(10)))
-            tdm.short.insert(int(rng.integers(10)), int(rng.integers(10)))
-        tdm.restore(image)
-        assert tdm.long.co_count(1, 2) == before
-        assert (tdm.short.table == tdm.short.sentinel).all()
-
-    def test_shape_mismatch_rejected(self):
-        a = TemporalDiverseMemory(10, 8, 4, 1, 3)
-        b = TemporalDiverseMemory(10, 16, 4, 1, 3)
-        with pytest.raises(SnapshotError):
-            b.restore(a.snapshot())
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 16))
-    def test_randomized_roundtrip(self, seed):
-        r = np.random.default_rng(seed)
-        tdm = TemporalDiverseMemory(12, 16, 4, 3, 5)
-        for _ in range(500):
-            tdm.long.insert(int(r.integers(12)), int(r.integers(12)))
-            tdm.short.insert(int(r.integers(12)), int(r.integers(12)))
-        image = tdm.snapshot()
-        saved = (tdm.long.table.copy(), tdm.short.table.copy())
-        for _ in range(500):
-            tdm.apply_link_update(int(r.integers(12)), int(r.integers(12)),
-                                  seq(0, [0]), seq(1, [1]))
-        tdm.restore(image)
-        np.testing.assert_array_equal(tdm.long.table, saved[0])
-        np.testing.assert_array_equal(tdm.short.table, saved[1])
 
 
 class TestExactOracle:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from coneighbor import oracle
 from coneighbor.history import HistoryStore
 from coneighbor.memory import ExactNeighborLog, TemporalDiverseMemory
 from coneighbor.oracle import (StreamReport, _audit_pairs, check_stream,
@@ -27,6 +29,42 @@ class TestCheckStream:
                               short_width=32, seq_len=4, seed=7,
                               two_order=False, neighbor_update=False)
         assert report.ok and report.pairs_injective > 0
+
+
+class TestAuditTiming:
+    # 996 events in batches of 200; with 5 checkpoints the first stop, 199,
+    # ends a batch, and the last, 995, is audited after the replay ends
+    @pytest.mark.parametrize("checkpoints, stops", [
+        (1, [995]), (2, [497, 995]), (5, [199, 398, 597, 796, 995])])
+    def test_each_audit_sees_events_through_its_stop(self, checkpoints, stops,
+                                                     monkeypatch):
+        written = {"tables": 0, "history": 0, "log": 0}
+        seen = []
+
+        def count(cls, attr, key, size):
+            orig = getattr(cls, attr)
+
+            def spy(*a, **kw):
+                written[key] += size(a)
+                return orig(*a, **kw)
+            monkeypatch.setattr(cls, attr, spy)
+
+        count(TemporalDiverseMemory, "apply_link_update", "tables",
+              lambda a: np.size(a[1]))
+        count(HistoryStore, "record_batch", "history", lambda a: np.size(a[1]))
+        count(ExactNeighborLog, "apply_link_update", "log", lambda a: 1)
+        audit = oracle._audit_pairs
+
+        def spy_audit(tdm, log, report):
+            seen.append(dict(written))
+            return audit(tdm, log, report)
+        monkeypatch.setattr(oracle, "_audit_pairs", spy_audit)
+
+        report = check_stream(num_nodes=8, num_events=996, long_width=64,
+                              short_width=16, seq_len=4, seed=3,
+                              checkpoints=checkpoints)
+        assert report.ok
+        assert seen == [dict.fromkeys(written, stop + 1) for stop in stops]
 
 
 class TestAuditDetectsCorruption:
