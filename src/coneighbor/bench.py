@@ -41,10 +41,6 @@ class AxisResult:
     intercept: float
     doubling_ratio: float
 
-    def rows(self):
-        return [{"axis": self.axis, "value": v, "seconds": s}
-                for v, s in zip(self.values, self.seconds)]
-
 
 @dataclass
 class BenchReport:

@@ -1,7 +1,9 @@
 """Command-line entry point: train, eval, sweep, bench, oracle-check.
 
 Every command writes its fully resolved configuration next to its results
-so any run can be reproduced from the output directory alone.  Exit codes:
+so any run can be reproduced from the output directory alone.  ``eval``
+takes its configuration from the checkpoint, which stores the training
+run's config.  Exit codes:
 0 success, 1 usage or configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -9,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from . import bench as bench_mod
 from . import harness, oracle
 from .config import RunConfig
 from .data import CsvLayout, load_events
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, SnapshotError
 from .harness import write_json
 from .model import ModelDims, load_params
 
@@ -78,17 +81,9 @@ def _layout(args) -> CsvLayout:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        train_frac=args.train_frac, val_frac=args.val_frac, mode=args.mode,
-        inductive_fraction=args.inductive_fraction,
-        long_size=args.long_size, short_size=args.short_size,
-        matching=args.matching, seq_len=args.seq_len, hidden=args.hidden,
-        time_dim=args.time_dim, out_dim=args.out_dim, layers=args.layers,
-        dropout=args.dropout, lr=args.lr, batch_size=args.batch_size,
-        epochs=args.epochs, patience=args.patience, neg_ratio=args.neg_ratio,
-        no_cne=args.no_cne, no_td=args.no_td, no_nup=args.no_nup,
-        no_tup=args.no_tup, seed=args.seed, float32=args.float32,
-    ).validate()
+    # every RunConfig field has a flag with the field's name as its dest
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(RunConfig)}).validate()
 
 
 def _outdir(args) -> Path:
@@ -111,14 +106,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
+    params, dims, stored = load_params(args.checkpoint)
+    cfg = RunConfig.from_dict(stored)
     g = load_events(args.data, _layout(args))
-    params, dims = load_params(args.checkpoint)
     want = ModelDims(node_dim=g.node_dim, edge_dim=g.edge_dim,
                      time_dim=cfg.time_dim, hidden=cfg.hidden,
                      out_dim=cfg.out_dim, layers=cfg.layers)
     if dims != want:
-        raise ConfigError(f"checkpoint dims {dims} do not match config/data {want}")
+        raise ConfigError(f"checkpoint dims {dims} do not match the data's {want}")
     out = _outdir(args)
     write_json(out / "config.json", cfg.to_dict())
     res = harness.evaluate_checkpoint(g, cfg, params, dims,
@@ -185,9 +180,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="runs/train")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a saved checkpoint")
+    p = sub.add_parser("eval", help="evaluate a checkpoint under its stored config")
     _add_data_args(p)
-    _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default="runs/eval")
     p.set_defaults(func=cmd_eval)
@@ -233,7 +227,7 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as e:
+    except (DataError, SnapshotError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

@@ -263,10 +263,9 @@ def scored_event_mask(g: TemporalGraph, split: SplitSpec, phase: str) -> np.ndar
     return np.ones(hi - lo, dtype=bool)
 
 
-def destination_pool(g: TemporalGraph, split: SplitSpec | None = None) -> np.ndarray:
-    """Sorted unique destinations observed in the stream (train-only if split given)."""
-    hi = split.train_end if split is not None else g.num_events
-    pool = np.unique(g.dst[:hi])
+def destination_pool(g: TemporalGraph) -> np.ndarray:
+    """Sorted unique destinations observed in the stream."""
+    pool = np.unique(g.dst)
     if pool.size == 0:
         raise EmptyInputError("no destinations to sample from")
     return pool

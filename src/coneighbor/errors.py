@@ -46,7 +46,7 @@ class ProtocolError(RuntimeError):
 
 
 class SnapshotError(ValueError):
-    """Snapshot incompatible with the object it is restored into."""
+    """Checkpoint file that is unreadable or of an unsupported version."""
 
 
 class NumericalError(RuntimeError):

@@ -27,13 +27,17 @@ parameter tensor against central finite differences.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from zipfile import BadZipFile
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, SnapshotError
 
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2
+# checkpoint entries that are not parameters
+_META = ("__version__", "__dims__", "__config__")
 CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
@@ -120,21 +124,35 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
-def save_params(path, params: dict[str, np.ndarray], dims: ModelDims) -> None:
+def save_params(path, params: dict[str, np.ndarray], dims: ModelDims,
+                config: dict) -> None:
+    """Write the parameters with the dims and the run config that made them."""
     np.savez(path, __version__=PARAMS_VERSION,
              __dims__=np.array([dims.node_dim, dims.edge_dim, dims.time_dim,
                                 dims.hidden, dims.out_dim, dims.layers]),
+             __config__=np.array(json.dumps(config, sort_keys=True)),
              **params)
 
 
-def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims]:
-    with np.load(path) as z:
-        if int(z["__version__"]) != PARAMS_VERSION:
-            raise SnapshotError(f"unsupported checkpoint version {z['__version__']}")
-        dims = ModelDims(*(int(x) for x in z["__dims__"]))
-        params = {k: z[k].copy() for k in z.files
-                  if k not in ("__version__", "__dims__")}
-    return params, dims
+def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
+    """Parameters, dims and run config of a checkpoint from ``save_params``.
+
+    A missing file raises OSError; any other file that is not a checkpoint
+    of this version raises SnapshotError.
+    """
+    try:
+        with np.load(path) as z:
+            version = int(z["__version__"])
+            if version != PARAMS_VERSION:
+                raise SnapshotError(f"unsupported checkpoint version {version}")
+            dims = ModelDims(*(int(x) for x in z["__dims__"]))
+            config = json.loads(str(z["__config__"]))
+            params = {k: z[k] for k in z.files if k not in _META}
+    except SnapshotError:
+        raise
+    except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as e:
+        raise SnapshotError(f"unreadable checkpoint {path}: {e}") from e
+    return params, dims, config
 
 
 def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:

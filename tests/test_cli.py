@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,16 @@ import pytest
 
 from coneighbor.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                             main)
+from coneighbor.config import RunConfig
+from coneighbor.model import PARAMS_VERSION
 from coneighbor.synthetic import random_stream
 
 FAST = ["--epochs", "1", "--seq-len", "4", "--hidden", "8", "--time-dim", "4",
         "--out-dim", "8", "--layers", "1", "--batch-size", "100", "--float32"]
+# non-default table widths, seed and batch size: eval must take them from
+# the checkpoint, because the replayed tables depend on every one of them
+REPRO = FAST + ["--epochs", "2", "--long-size", "32", "--short-size", "8",
+                "--seed", "5", "--batch-size", "150"]
 
 
 @pytest.fixture(scope="module")
@@ -86,31 +93,77 @@ class TestTrain:
         assert outs[0] == outs[1]
 
 
+@pytest.fixture(scope="module")
+def trained(csv_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("train")
+    assert run_cli("train", "--data", csv_path, "--out", str(out),
+                   *REPRO) == EXIT_OK
+    return out
+
+
+def config_flags():
+    """One ``--flag [value]`` per RunConfig field, at the default value."""
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(RunConfig(), f.name)
+        flag = ["--" + f.name.replace("_", "-")]
+        yield flag if isinstance(value, bool) else flag + [str(value)]
+
+
 class TestEval:
     def test_roundtrip_matches_reported_test_metrics(self, csv_path,
-                                                     tmp_path):
-        train_out = tmp_path / "train"
-        run_cli("train", "--data", csv_path, "--out", str(train_out), *FAST,
-                "--seed", "2")
-        trained = json.loads((train_out / "metrics.json").read_text())
+                                                     trained, tmp_path):
+        res = json.loads((trained / "metrics.json").read_text())
         eval_out = tmp_path / "eval"
         code = run_cli("eval", "--data", csv_path, "--out", str(eval_out),
-                       "--checkpoint", str(train_out / "checkpoint.npz"),
-                       *FAST, "--seed", "2")
+                       "--checkpoint", str(trained / "checkpoint.npz"))
         assert code == EXIT_OK
         evaled = json.loads((eval_out / "metrics.json").read_text())
-        assert evaled["test_ap"] == trained["test_ap"]
-        assert evaled["test_auc"] == trained["test_auc"]
+        best = res["best_epoch"]
+        assert evaled["val_ap"] == res["val_ap"][best]
+        assert evaled["val_auc"] == res["val_auc"][best]
+        assert evaled["test_ap"] == res["test_ap"]
+        assert evaled["test_auc"] == res["test_auc"]
+        assert (json.loads((eval_out / "config.json").read_text())
+                == json.loads((trained / "config.json").read_text()))
 
-    def test_dim_mismatch_is_usage_error(self, csv_path, tmp_path, capsys):
-        train_out = tmp_path / "train"
-        run_cli("train", "--data", csv_path, "--out", str(train_out), *FAST)
-        code = run_cli("eval", "--data", csv_path, "--out",
+    def test_config_flags_are_usage_errors(self, csv_path, trained, tmp_path,
+                                           capsys):
+        for flag in config_flags():
+            code = run_cli("eval", "--data", csv_path, "--out",
+                           str(tmp_path / "eval"),
+                           "--checkpoint", str(trained / "checkpoint.npz"),
+                           *flag)
+            assert code == EXIT_USAGE, flag
+            assert "unrecognized arguments" in capsys.readouterr().err, flag
+
+    def test_dim_mismatch_is_usage_error(self, csv_path, trained, tmp_path,
+                                         capsys):
+        # the same stream without its two edge-feature columns
+        cut = tmp_path / "cut.csv"
+        lines = open(csv_path).read().splitlines()
+        cut.write_text("".join(",".join(line.split(",")[:4]) + "\n"
+                               for line in lines))
+        code = run_cli("eval", "--data", str(cut), "--out",
                        str(tmp_path / "eval"),
-                       "--checkpoint", str(train_out / "checkpoint.npz"),
-                       *FAST, "--hidden", "16")
+                       "--checkpoint", str(trained / "checkpoint.npz"))
         assert code == EXIT_USAGE
         assert "dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz"])
+    def test_bad_checkpoint_is_data_error(self, csv_path, tmp_path, capsys,
+                                          kind):
+        path = tmp_path / "ckpt.npz"
+        if kind == "not_npz":
+            path.write_text("src,dst,t\n0,1,2\n")
+        else:
+            version = 1 if kind == "v1" else PARAMS_VERSION + 1
+            np.savez(path, __version__=version, __dims__=np.arange(6),
+                     w=np.zeros(2))
+        code = run_cli("eval", "--data", csv_path, "--out",
+                       str(tmp_path / "eval"), "--checkpoint", str(path))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
 
 class TestSweep:

@@ -357,7 +357,8 @@ class TestRunDriver:
         cfg = tiny_cfg(epochs=2, seed=3)
         path = tmp_path / "best.npz"
         res = run(rand_graph, cfg, checkpoint_path=path)
-        params, dims = load_params(path)
+        params, dims, stored = load_params(path)
+        assert stored == cfg.to_dict()
         rerun = evaluate_checkpoint(rand_graph, cfg, params, dims)
         assert rerun["val_ap"] == res["val_ap"][res["best_epoch"]]
         assert rerun["test_ap"] == res["test_ap"]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from coneighbor import model
+from coneighbor.config import RunConfig
 from coneighbor.errors import ConfigError, NumericalError, SnapshotError
-from coneighbor.model import (BLOCKS, CLAMP_EPS, AdamState, LinkPredictor,
-                              ModelDims, SequenceFeatures, adam_init, adam_step,
-                              bce_loss, copy_params, init_params,
-                              init_time_frequencies, layer_norm, load_params,
-                              save_params, time_encode)
+from coneighbor.model import (BLOCKS, CLAMP_EPS, PARAMS_VERSION, AdamState,
+                              LinkPredictor, ModelDims, SequenceFeatures,
+                              adam_init, adam_step, bce_loss, copy_params,
+                              init_params, init_time_frequencies, layer_norm,
+                              load_params, save_params, time_encode)
 
 
 def make_feats(rng, S=6, l=3, d_N=2, d_E=1):
@@ -431,9 +432,11 @@ class TestSaveLoad:
     def test_roundtrip(self, tmp_path):
         params = init_params(SMALL, seed=4)
         path = tmp_path / "ckpt.npz"
-        save_params(path, params, SMALL)
-        loaded, dims = load_params(path)
+        config = RunConfig(seed=4, long_size=32, short_size=8).to_dict()
+        save_params(path, params, SMALL, config)
+        loaded, dims, stored = load_params(path)
         assert dims == SMALL
+        assert stored == config
         assert set(loaded) == set(params)
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
@@ -442,6 +445,13 @@ class TestSaveLoad:
         path = tmp_path / "bad.npz"
         np.savez(path, __version__=99, __dims__=np.arange(6), w=np.zeros(2))
         with pytest.raises(SnapshotError):
+            load_params(path)
+
+    def test_missing_config_rejected(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
+                 w=np.zeros(2))
+        with pytest.raises(SnapshotError, match="__config__"):
             load_params(path)
 
 
