@@ -17,35 +17,28 @@ from pathlib import Path
 
 import numpy as np
 
-from coneighbor.config import RunConfig
+from coneighbor.config import ABLATION_BASE, ABLATION_VARIANTS, RunConfig
 from coneighbor.harness import run, write_json
 from coneighbor.synthetic import TriadicStreamConfig, triadic_closure_stream
 
 ROOT = Path(__file__).parent.parent
 
-VARIANTS = {
-    "full": dict(long_size=64, short_size=16),
-    "no_cne": dict(long_size=64, short_size=16, no_cne=True),
-    "narrow": dict(long_size=8, short_size=2),
-}
-
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--epochs", type=int, default=2)
+    ap.add_argument("--epochs", type=int, default=ABLATION_BASE["epochs"])
     ap.add_argument("--out", default=str(ROOT / "runs" / "ablation"))
     args = ap.parse_args(argv)
 
-    base = dict(epochs=args.epochs, patience=5, seq_len=10, layers=1,
-                float32=True)
+    base = {**ABLATION_BASE, "epochs": args.epochs}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for seed in args.seeds:
         g = triadic_closure_stream(TriadicStreamConfig(seed=seed))
-        for name, overrides in VARIANTS.items():
+        for name, overrides in ABLATION_VARIANTS.items():
             cfg = RunConfig(**base, **overrides, seed=seed).validate()
             res = run(g, cfg, dataset="triadic")
             rows.append({"seed": seed, "variant": name,
@@ -55,7 +48,7 @@ def main(argv=None) -> int:
                   f"auc={res['test_auc']:.4f}")
 
     print()
-    for name in VARIANTS:
+    for name in ABLATION_VARIANTS:
         aps = [r["test_ap"] for r in rows if r["variant"] == name]
         print(f"{name:7s} mean_ap={np.mean(aps):.4f} over {len(aps)} seeds")
     write_json(out / "ablation.json", rows)

@@ -146,5 +146,6 @@ def format_report(report: BenchReport) -> str:
             lines.append(f"  {v:>6d}  {s * 1e3:9.3f} ms")
         lines.append(f"  fitted doubling ratio at top of range: "
                      f"{ax.doubling_ratio:.2f} (linear scaling -> ~2)")
-    lines.append("claimed per-sample cost: O(l_s) extraction + O(l_s*M*d) encode")
+    lines.append("claimed per-sample cost: O(l_s) extraction + "
+                 "O(l_s*M) co-neighbor encoding")
     return "\n".join(lines)

@@ -100,3 +100,13 @@ class RunConfig:
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw).validate()
+
+
+# the ablation study on the triadic stream (scripts/run_ablation.py and
+# acceptance gates 5 and 6): one base config and three variants of it
+ABLATION_BASE = dict(epochs=2, patience=5, seq_len=10, layers=1, float32=True)
+ABLATION_VARIANTS = {
+    "full": dict(long_size=64, short_size=16),
+    "no_cne": dict(long_size=64, short_size=16, no_cne=True),
+    "narrow": dict(long_size=8, short_size=2),
+}

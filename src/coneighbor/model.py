@@ -14,6 +14,17 @@ sum_b x_b @ (P_b @ W0_b) + (fuse0_b + sum_b p_b @ W0_b).  The raw block
 inputs are only d_N + d_E + d_T + 4 wide, so this never builds the
 (S, l, 5d) concatenation; the parameters and the function are unchanged.
 
+Layer norm ignores a common shift of its input row, so its centring lives
+in the weights: every layer computes with W - (row means of W) and
+b - mean(b), its rows leave the matmul with zero mean, and layer norm
+only scales them.  The backward pass drops the mean(dy) term, which is a
+per-row constant, and centres the small weight and bias gradients once
+per batch instead; the centred weights carry the gradient to each layer's
+input.  On the last layer the dropout scale 1/(1-p) joins the mean-pool's
+1/l in one pooling vector.  The time-frequency gradient is contracted
+from A^T da, where A = dt * d(time encoding)/d(args), against the centred
+time rows of the folded layer-0 weight.
+
 Both passes run in blocks of whole sequences, sized by BLOCK_BYTES so that
 one block's (rows, 5d) temporaries stay in a core's L2 cache instead of
 streaming whole-batch arrays through memory once per elementwise step.
@@ -170,30 +181,48 @@ def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, eps: float = LN_EPS,
-               out: np.ndarray | None = None):
-    """Row-wise normalization over the last axis, no gain or bias.
+def _centre(w: np.ndarray) -> np.ndarray:
+    """w minus its mean over the last (output) axis."""
+    return w - w.mean(axis=-1, keepdims=True)
 
-    Returns (y, inv_std); inv_std is kept for the backward pass.  y is
-    written to ``out`` when given, which may be x itself.
+
+def _layer_norm_centred(x: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
+    """Layer norm, in place, of rows that already have zero mean.
+
+    Scales each row over the last axis to unit RMS and returns inv_std,
+    shaped (..., 1), for the backward pass.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = np.subtract(x, mu, out=out)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xc *= inv
-    return xc, inv
+    inv = np.einsum("...i,...i->...", x, x)[..., None]
+    inv /= x.shape[-1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    x *= inv
+    return inv
 
 
-def _layer_norm_backward(dy: np.ndarray, y: np.ndarray,
-                         inv: np.ndarray) -> np.ndarray:
-    """In place, dy becomes inv * (dy - mean(dy) - y * mean(dy * y))."""
-    dy_y = dy * y
-    m2 = dy_y.mean(axis=-1, keepdims=True)
-    dy -= dy.mean(axis=-1, keepdims=True)
-    dy -= np.multiply(y, m2, out=dy_y)
+def _layer_norm_centred_backward(dy: np.ndarray, y: np.ndarray,
+                                 inv: np.ndarray) -> np.ndarray:
+    """In place, dy becomes inv * (dy - y * mean(dy * y)).
+
+    The full layer-norm gradient also subtracts mean(dy), a per-row
+    constant; the caller removes it by centring what it accumulates.
+    """
+    m2 = np.einsum("...i,...i->...", dy, y)[..., None]
+    m2 /= y.shape[-1]
+    dy -= y * m2
     dy *= inv
     return dy
+
+
+def _time_encode_grad(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """dt * d/d(args) of time_encode's trig columns, without its scale."""
+    args = dt[..., None] * freqs
+    out = np.empty_like(args)
+    out[..., 0::2] = -np.sin(args[..., 0::2])
+    out[..., 1::2] = np.cos(args[..., 1::2])
+    out *= dt[..., None]
+    return out
 
 
 def _sequence_blocks(S: int, l: int, f: int, dtype) -> list[slice]:
@@ -250,24 +279,26 @@ class LinkPredictor:
         te = time_encode(feats.dt, params["time_freq"])
         x = np.concatenate([feats.node, feats.edge, te, feats.co_long,
                             feats.co_short], axis=-1)
-        w, b = self._fold_layer0(params)
+        weights = self._centred_weights(params)
         S, l = feats.dt.shape
         f, last = self.dims.fused, self.dims.layers - 1
-        dtype = np.result_type(x, w)
+        dtype = np.result_type(x, weights[0][0])
         blocks = _sequence_blocks(S, l, f, dtype)
         drop = training and self.dropout > 0.0
         if drop:
             c = blocks[0].stop if blocks else 0
             draws = np.empty((c, l, f))           # float64, as rng.random gives
-            z_last = np.empty((c, l, f), dtype)   # last layer's z, pooled only
+            z_last = np.empty((c, l, f), dtype)   # last layer's y * mask
+        # mean-pool over positions, padded ones included in the divisor,
+        # carrying the last layer's inverted-dropout scale
+        pool_vec = np.full(l, self._pool_scale(l, drop), dtype)
 
         tape = GradientTape(feats=feats, x=x)
         pool = np.empty((S, f), dtype)
         z_in, a_in = None, x
-        for layer in range(self.dims.layers):
+        for layer, (w, b) in enumerate(weights):
             if layer:
                 z_in = a_in = z
-                w, b = params[f"fuse{layer}_w"], params[f"fuse{layer}_b"]
             y = np.empty((S, l, f), dtype)
             inv = np.empty((S, l, 1), dtype)
             mask = np.empty((S, l, f), dtype=bool) if drop else None
@@ -277,7 +308,7 @@ class LinkPredictor:
                 np.matmul(a_in[blk].reshape(-1, a_in.shape[-1]), w,
                           out=yb.reshape(-1, f))
                 yb += b
-                _, inv[blk] = layer_norm(yb, out=yb)
+                inv[blk] = _layer_norm_centred(yb)
                 zb = yb
                 if drop:
                     n = blk.stop - blk.start
@@ -285,15 +316,19 @@ class LinkPredictor:
                                      out=mask[blk])
                     zb = z[blk] if layer < last else z_last[:n]
                     np.multiply(yb, mask[blk], out=zb)
-                    zb /= 1.0 - self.dropout
+                    if layer < last:
+                        zb /= 1.0 - self.dropout
                 if layer == last:
-                    # padded rows included in the divisor
-                    np.mean(zb, axis=1, out=pool[blk])
+                    np.matmul(pool_vec, zb, out=pool[blk])
             tape.layers.append((z_in, y, inv, mask))
 
         h = pool @ params["out_w"] + params["out_b"]
         tape.pool, tape.h = pool, h
         return h, tape
+
+    def _pool_scale(self, l: int, drop: bool) -> float:
+        """1/l of the mean-pool, times the last layer's 1/(1-p) if dropped."""
+        return 1.0 / (l * (1.0 - self.dropout)) if drop else 1.0 / l
 
     def _fold_layer0(self, params):
         """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""
@@ -305,6 +340,17 @@ class LinkPredictor:
             ws.append(params[f"proj_{name}_w"] @ w0_b)
             b = b + params[f"proj_{name}_b"] @ w0_b
         return np.concatenate(ws), b
+
+    def _centred_weights(self, params):
+        """Per layer (W - row means of W, b - mean(b)); layer 0 folded.
+
+        Every output row of a_in @ W + b then has zero mean, which is the
+        centring layer norm would do on each (S, l, 5d) row.
+        """
+        layers = [self._fold_layer0(params)] + [
+            (params[f"fuse{k}_w"], params[f"fuse{k}_b"])
+            for k in range(1, self.dims.layers)]
+        return [(_centre(w), _centre(b)) for w, b in layers]
 
     def score(self, params, h_a: np.ndarray, h_b: np.ndarray) -> np.ndarray:
         """Pairwise link probability; order of (a, b) matters."""
@@ -357,45 +403,63 @@ class LinkPredictor:
                          dH: np.ndarray) -> None:
         feats = tape.feats
         S, l = feats.dt.shape
-        d, f = self.dims.hidden, self.dims.fused
+        d, f, d_T = self.dims.hidden, self.dims.fused, self.dims.time_dim
+        last = self.dims.layers - 1
         x = tape.x
-        k_x = x.shape[-1]
+        weights = self._centred_weights(params)
+        drop = tape.layers[last][3] is not None
 
         grads["out_w"] += tape.pool.T @ dH
         grads["out_b"] += dH.sum(axis=0)
-        dpool = (dH @ params["out_w"].T)[:, None, :] / l   # mean-pool backward
+        dpool = dH @ params["out_w"].T
+        dpool *= self._pool_scale(l, drop)
 
-        # layer 0 in folded form: with G_b = x_b^T da and s = sum(da),
-        # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
-        # d p_b = W0_b s, and the time input gets da (P_t W0_t)^T
-        w0 = params["fuse0_w"]
-        i_t = BLOCKS.index("time")
-        w_t = params["proj_time_w"] @ w0[i_t * d:(i_t + 1) * d]
-        dte = np.empty((S, l, w_t.shape[0]), np.result_type(dpool, w_t))
-        G = np.zeros((k_x, f), np.result_type(x, dpool))
-        s = np.zeros(f, dpool.dtype)
+        # per layer, a_in^T da and sum(da), where da lacks layer norm's
+        # per-row mean(dy) term; centring these sums over the output axis
+        # removes it.  The centred weights need no such step: their rows
+        # sum to zero, so da @ W^T carries the exact gradient to a_in.
+        gw = [np.zeros((w.shape[0], f), np.result_type(w, dpool))
+              for w, _ in weights]
+        gb = [np.zeros(f, dpool.dtype) for _ in weights]
+        # A^T da over the time-encoding inputs; the centred time rows of
+        # the folded layer-0 weight contract it to the time_freq gradient
+        lo_t = feats.node.shape[-1] + feats.edge.shape[-1]
+        w_t = weights[0][0][lo_t:lo_t + d_T]
+        gt = np.zeros((d_T, f), np.result_type(feats.dt, dpool))
 
         # no draws here, so each block runs through every layer while its
         # gradients are still in cache
         for blk in _sequence_blocks(S, l, f, dpool.dtype):
-            dz = dpool[blk]
+            dz = dpool[blk][:, None, :]
             for layer in reversed(range(self.dims.layers)):
                 z_in, y, inv, mask = tape.layers[layer]
-                if mask is not None:
-                    dy = dz * mask[blk]
-                    dy /= 1.0 - self.dropout
-                else:
+                if mask is None:
                     dy = np.array(np.broadcast_to(dz, y[blk].shape))
-                da = _layer_norm_backward(dy, y[blk], inv[blk]).reshape(-1, f)
+                else:
+                    dy = dz * mask[blk]
+                    if layer < last:
+                        dy /= 1.0 - self.dropout
+                da = _layer_norm_centred_backward(dy, y[blk], inv[blk])
+                da = da.reshape(-1, f)
+                a_in = x if layer == 0 else z_in
+                gw[layer] += a_in[blk].reshape(-1, a_in.shape[-1]).T @ da
+                gb[layer] += da.sum(axis=0)
                 if layer:
-                    w = params[f"fuse{layer}_w"]
-                    grads[f"fuse{layer}_w"] += z_in[blk].reshape(-1, f).T @ da
-                    grads[f"fuse{layer}_b"] += da.sum(axis=0)
-                    dz = (da @ w.T).reshape(dy.shape)
-            G += x[blk].reshape(-1, k_x).T @ da
-            s += da.sum(axis=0)
-            np.matmul(da, w_t.T, out=dte[blk].reshape(-1, w_t.shape[0]))
+                    dz = (da @ weights[layer][0].T).reshape(dy.shape)
+            A = _time_encode_grad(feats.dt[blk], params["time_freq"])
+            gt += A.reshape(-1, d_T).T @ da
 
+        for g in gw + gb:
+            g -= g.mean(axis=-1, keepdims=True)
+        for layer in range(1, self.dims.layers):
+            grads[f"fuse{layer}_w"] += gw[layer]
+            grads[f"fuse{layer}_b"] += gb[layer]
+
+        # layer 0 in folded form: with G_b = x_b^T da and s = sum(da),
+        # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
+        # d p_b = W0_b s
+        G, s = gw[0], gb[0]
+        w0 = params["fuse0_w"]
         grads["fuse0_b"] += s
         lo = 0
         for i, name in enumerate(BLOCKS):
@@ -408,13 +472,8 @@ class LinkPredictor:
             grads[f"proj_{name}_b"] += w0_b @ s
             lo += k
 
-        # through the trig: even columns are cos, odd are sin
-        sc = np.sqrt(1.0 / self.dims.time_dim)
-        args = feats.dt[..., None] * params["time_freq"]
-        dargs = np.empty_like(args)
-        dargs[..., 0::2] = -np.sin(args[..., 0::2]) * dte[..., 0::2]
-        dargs[..., 1::2] = np.cos(args[..., 1::2]) * dte[..., 1::2]
-        grads["time_freq"] += sc * (dargs * feats.dt[..., None]).sum(axis=(0, 1))
+        sc = np.sqrt(1.0 / d_T)
+        grads["time_freq"] += sc * np.einsum("ij,ij->i", gt, w_t)
 
 
 # -- optimizer --------------------------------------------------------

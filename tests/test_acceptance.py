@@ -18,7 +18,7 @@ import pytest
 
 from coneighbor.bench import run_bench
 from coneighbor.cli import main as cli_main
-from coneighbor.config import RunConfig
+from coneighbor.config import ABLATION_BASE, ABLATION_VARIANTS, RunConfig
 from coneighbor.data import CsvLayout, from_arrays, load_events
 from coneighbor.harness import (build_split, destination_pool_for_training,
                                 replay_train, run, stack_pair_features,
@@ -178,13 +178,6 @@ def test_04_uci_transductive_quality():
 # -- 5 and 6: trained ablation and sensitivity directions ---------------
 
 SEEDS = (0, 1, 2)
-ABLATION_BASE = dict(epochs=2, patience=5, seq_len=10, layers=1,
-                     float32=True)
-VARIANTS = {
-    "full": dict(long_size=64, short_size=16),
-    "no_cne": dict(long_size=64, short_size=16, no_cne=True),
-    "narrow": dict(long_size=8, short_size=2),
-}
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +186,7 @@ def ablation_runs():
     out = {}
     for seed in SEEDS:
         g = triadic_closure_stream(TriadicStreamConfig(seed=seed))
-        for name, kw in VARIANTS.items():
+        for name, kw in ABLATION_VARIANTS.items():
             cfg = RunConfig(seed=seed, **ABLATION_BASE, **kw)
             out[name, seed] = run(g, cfg, dataset="triadic")["test_ap"]
     return out

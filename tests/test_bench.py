@@ -53,3 +53,7 @@ class TestRunBench:
         assert "sequence_length" in text
         assert "hashtable_size" in text
         assert "doubling ratio" in text
+        # the timed path has no dense layers, so no hidden width d
+        assert text.splitlines()[-1] == ("claimed per-sample cost: O(l_s) "
+                                         "extraction + O(l_s*M) co-neighbor "
+                                         "encoding")

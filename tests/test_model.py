@@ -7,8 +7,8 @@ from coneighbor.errors import ConfigError, NumericalError, SnapshotError
 from coneighbor.model import (BLOCKS, CLAMP_EPS, PARAMS_VERSION, AdamState,
                               LinkPredictor, ModelDims, SequenceFeatures,
                               adam_init, adam_step, bce_loss, copy_params,
-                              init_params, init_time_frequencies, layer_norm,
-                              load_params, save_params, time_encode)
+                              init_params, init_time_frequencies, load_params,
+                              save_params, time_encode)
 
 
 def make_feats(rng, S=6, l=3, d_N=2, d_E=1):
@@ -69,27 +69,39 @@ class TestTimeEncode:
 
 
 class TestLayerNorm:
+    """The forward helper only scales: centring lives in the weights."""
+
     def test_rows_standardized(self, rng):
         x = rng.normal(3.0, 2.5, (5, 64))
-        y, inv = layer_norm(x)
-        np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-3)
-        np.testing.assert_allclose(inv, 1.0 / np.sqrt(x.var(axis=-1,
-                                                            keepdims=True)
-                                                      + 1e-5))
+        x -= x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv = model._layer_norm_centred(x)
+        np.testing.assert_allclose(x.mean(axis=-1), 0.0, atol=1e-12)
+        # unit RMS up to the eps under the square root
+        np.testing.assert_allclose(np.sqrt(np.mean(x * x, axis=-1)), 1.0,
+                                   atol=1e-5)
+        np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + model.LN_EPS))
 
     def test_constant_row_maps_to_zero(self):
-        y, _ = layer_norm(np.full((1, 8), 4.2))
-        np.testing.assert_array_equal(y, np.zeros((1, 8)))
+        # a constant row leaves the centred weights as a zero row
+        x = np.zeros((2, 8))
+        inv = model._layer_norm_centred(x)
+        np.testing.assert_array_equal(x, np.zeros((2, 8)))
+        np.testing.assert_allclose(inv, 1.0 / np.sqrt(model.LN_EPS))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_in_place_matches_out_of_place(self, rng, dtype):
-        x = rng.normal(3.0, 2.5, (4, 6, 25)).astype(dtype)
-        want_y, want_inv = layer_norm(x)
-        y, inv = layer_norm(x, out=x)
-        assert y is x
-        np.testing.assert_array_equal(y, want_y)
-        np.testing.assert_array_equal(inv, want_inv)
+        x = rng.normal(3.0, 2.5, (4, 6, 25))
+        x -= x.mean(axis=-1, keepdims=True)
+        x = x.astype(dtype)
+        want_inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True)
+                                 + model.LN_EPS)
+        want_y = x * want_inv
+        inv = model._layer_norm_centred(x)
+        assert inv.shape == (4, 6, 1) and inv.dtype == dtype
+        rtol = 1e-12 if dtype == np.float64 else 1e-6
+        np.testing.assert_allclose(inv, want_inv, rtol=rtol)
+        np.testing.assert_allclose(x, want_y, rtol=rtol, atol=rtol)
 
 
 class TestInit:
@@ -216,11 +228,20 @@ class TestGradients:
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+def full_layer_norm(a):
+    """Row-wise layer norm with its own mean subtraction, no gain or bias."""
+    ac = a - a.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(ac * ac, axis=-1, keepdims=True) + model.LN_EPS)
+    return ac * inv, inv
+
+
 def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
     """Reference: project every block, concatenate to 5d, then fuse0.
 
-    Training mode with dropout; the masks are drawn with the same calls as
-    in LinkPredictor.encode.  Probabilities must stay off the clamp.
+    Training mode; every layer divides its dropped output by 1 - p, and the
+    masks are drawn with the same calls as in LinkPredictor.encode (all
+    kept when p is 0).  Layer norm centres every row and its backward pass
+    keeps the mean(dy) term.  Probabilities must stay off the clamp.
     """
     dims, keep = pred.dims, 1.0 - pred.dropout
     d, f = dims.hidden, dims.fused
@@ -233,7 +254,8 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
                         for n in BLOCKS], axis=-1)
     layers = []
     for layer in range(dims.layers):
-        y, inv = layer_norm(z @ params[f"fuse{layer}_w"] + params[f"fuse{layer}_b"])
+        y, inv = full_layer_norm(z @ params[f"fuse{layer}_w"]
+                                 + params[f"fuse{layer}_b"])
         mask = rng.random(y.shape) >= pred.dropout
         layers.append((z, y, inv, mask))
         z = y * mask / keep
@@ -278,12 +300,26 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
 
 
 class TestFoldedLayer0:
-    @pytest.mark.parametrize("layers", [1, 2])
+    """The folded, weight-centred, blocked encoder against the reference."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("feat_dim", [0, 3])
-    def test_matches_unfolded_reference(self, rng, layers, feat_dim):
+    def test_matches_unfolded_reference(self, rng, monkeypatch, layers,
+                                        feat_dim):
+        self.check(rng, monkeypatch, layers, 0.3, feat_dim)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("feat_dim", [0, 3])
+    def test_matches_unfolded_reference_without_dropout(
+            self, rng, monkeypatch, layers, feat_dim):
+        self.check(rng, monkeypatch, layers, 0.0, feat_dim)
+
+    def check(self, rng, monkeypatch, layers, dropout, feat_dim):
         dims = ModelDims(node_dim=feat_dim, edge_dim=feat_dim, time_dim=6,
                          hidden=4, out_dim=3, layers=layers)
-        pred = LinkPredictor(dims, dropout=0.3)
+        # 3 float64 sequences per block: S=8 ends in a ragged block of 2
+        monkeypatch.setattr(model, "BLOCK_BYTES", 3 * 5 * dims.fused * 8)
+        pred = LinkPredictor(dims, dropout=dropout)
         params = init_params(dims, seed=4, time_span=5.0)
         for v in params.values():    # non-zero biases reach every fold term
             v += rng.normal(scale=0.2, size=v.shape)
