@@ -1,8 +1,9 @@
 """Sensitivity sweep over the hashtable width or the sequence length.
 
-Runs one full train/eval cycle per value on the synthetic triadic stream
-and writes the resulting rows as JSON.  Sweeping ``hashtable_size`` keeps
-the short table at a quarter of the long one.
+Runs one full train/eval cycle per value on the synthetic triadic stream,
+from the ablation study's base config, and writes the rows as JSON.
+Sweeping ``hashtable_size`` keeps the short table at a quarter of the long
+one.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from coneighbor.config import RunConfig
+from coneighbor.config import ABLATION_BASE, RunConfig
 from coneighbor.harness import run_sweep, write_json
 from coneighbor.synthetic import TriadicStreamConfig, triadic_closure_stream
 
@@ -23,15 +24,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--axis", choices=sorted(DEFAULT_VALUES), required=True)
     ap.add_argument("--values", type=int, nargs="+", default=None)
-    ap.add_argument("--epochs", type=int, default=2)
+    ap.add_argument("--epochs", type=int, default=ABLATION_BASE["epochs"])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=str(ROOT / "runs" / "sensitivity"))
     args = ap.parse_args(argv)
 
     values = args.values if args.values else DEFAULT_VALUES[args.axis]
     g = triadic_closure_stream(TriadicStreamConfig(seed=args.seed))
-    cfg = RunConfig(epochs=args.epochs, patience=5, seq_len=10, layers=1,
-                    float32=True, seed=args.seed).validate()
+    cfg = RunConfig(**{**ABLATION_BASE, "epochs": args.epochs},
+                    seed=args.seed).validate()
 
     rows = run_sweep(g, cfg, args.axis, values, dataset="triadic")
     for r in rows:

@@ -1,9 +1,11 @@
 """Command-line entry point: train, eval, sweep, bench, oracle-check.
 
 Every command writes its fully resolved configuration next to its results
-so any run can be reproduced from the output directory alone.  ``eval``
-takes its configuration from the checkpoint, which stores the training
-run's config.  Exit codes:
+so any run can be reproduced from the output directory alone.  ``train``
+and ``sweep`` take one flag per ``RunConfig`` field, named after the field
+with dashes (``seq_len`` is ``--seq-len``) and defaulting to its default.
+``eval`` takes its configuration from the checkpoint, which stores the
+training run's config.  Exit codes:
 0 success, 1 usage or configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -21,7 +23,7 @@ from .config import RunConfig
 from .data import CsvLayout, load_events
 from .errors import ConfigError, DataError, NumericalError, SnapshotError
 from .harness import write_json
-from .model import ModelDims, load_params
+from .model import load_params
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -47,31 +49,14 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    c = RunConfig()
-    p.add_argument("--long-size", type=int, default=c.long_size, help="long table width M_l")
-    p.add_argument("--short-size", type=int, default=c.short_size, help="short table width M_s")
-    p.add_argument("--seq-len", type=int, default=c.seq_len, help="neighbor window length l_s")
-    p.add_argument("--hidden", type=int, default=c.hidden, help="projection width d")
-    p.add_argument("--time-dim", type=int, default=c.time_dim)
-    p.add_argument("--out-dim", type=int, default=c.out_dim)
-    p.add_argument("--layers", type=int, default=c.layers, help="fusion layers L")
-    p.add_argument("--dropout", type=float, default=c.dropout)
-    p.add_argument("--lr", type=float, default=c.lr)
-    p.add_argument("--batch-size", type=int, default=c.batch_size)
-    p.add_argument("--epochs", type=int, default=c.epochs)
-    p.add_argument("--patience", type=int, default=c.patience)
-    p.add_argument("--neg-ratio", type=int, default=c.neg_ratio)
-    p.add_argument("--mode", choices=("transductive", "inductive"), default=c.mode)
-    p.add_argument("--inductive-fraction", type=float, default=c.inductive_fraction)
-    p.add_argument("--train-frac", type=float, default=c.train_frac)
-    p.add_argument("--val-frac", type=float, default=c.val_frac)
-    p.add_argument("--matching", choices=("paper", "strict"), default=c.matching)
-    p.add_argument("--no-cne", action="store_true", help="zero-fill co-neighbor features")
-    p.add_argument("--no-td", action="store_true", help="disable the short-horizon table")
-    p.add_argument("--no-nup", action="store_true", help="disable neighbor updates")
-    p.add_argument("--no-tup", action="store_true", help="disable 2-order updates")
-    p.add_argument("--seed", type=int, default=c.seed)
-    p.add_argument("--float32", action="store_true", help="train in float32")
+    # one flag per RunConfig field; its metadata adds help text or choices
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true", **f.metadata)
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default,
+                           **f.metadata)
 
 
 def _layout(args) -> CsvLayout:
@@ -109,9 +94,7 @@ def cmd_eval(args) -> int:
     params, dims, stored = load_params(args.checkpoint)
     cfg = RunConfig.from_dict(stored)
     g = load_events(args.data, _layout(args))
-    want = ModelDims(node_dim=g.node_dim, edge_dim=g.edge_dim,
-                     time_dim=cfg.time_dim, hidden=cfg.hidden,
-                     out_dim=cfg.out_dim, layers=cfg.layers)
+    want = harness.model_dims(g, cfg)
     if dims != want:
         raise ConfigError(f"checkpoint dims {dims} do not match the data's {want}")
     out = _outdir(args)

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 TRANSDUCTIVE = "transductive"
 INDUCTIVE = "inductive"
+MODES = (TRANSDUCTIVE, INDUCTIVE)
 MATCH_PAPER = "paper"
 MATCH_STRICT = "strict"
+MATCHINGS = (MATCH_PAPER, MATCH_STRICT)
 
 
 @dataclass
@@ -19,27 +21,33 @@ class RunConfig:
 
     Defaults follow the reference setup: 64/16 long/short table widths,
     hidden widths of 50, Adam at 1e-4 with batches of 200 and dropout 0.1.
+    Every field is also a CLI flag of the same name (``cli.py``); a field's
+    ``metadata`` holds extra keywords for that flag: its help text or its
+    allowed values.
     """
 
     # split
     train_frac: float = 0.70
     val_frac: float = 0.15
-    mode: str = TRANSDUCTIVE
+    mode: str = field(default=TRANSDUCTIVE, metadata={"choices": MODES})
     inductive_fraction: float = 0.10
 
     # neighbor memory
-    long_size: int = 64
-    short_size: int = 16
-    matching: str = MATCH_PAPER
+    long_size: int = field(default=64,
+                           metadata={"help": "long table width M_l"})
+    short_size: int = field(default=16,
+                            metadata={"help": "short table width M_s"})
+    matching: str = field(default=MATCH_PAPER, metadata={"choices": MATCHINGS})
 
     # history sequences
-    seq_len: int = 20
+    seq_len: int = field(default=20,
+                         metadata={"help": "neighbor window length l_s"})
 
     # encoder
-    hidden: int = 50
+    hidden: int = field(default=50, metadata={"help": "projection width d"})
     time_dim: int = 50
     out_dim: int = 50
-    layers: int = 2
+    layers: int = field(default=2, metadata={"help": "fusion layers L"})
     dropout: float = 0.1
 
     # optimization
@@ -50,22 +58,26 @@ class RunConfig:
     neg_ratio: int = 1
 
     # ablation switches
-    no_cne: bool = False
-    no_td: bool = False
-    no_nup: bool = False
-    no_tup: bool = False
+    no_cne: bool = field(default=False,
+                         metadata={"help": "zero-fill co-neighbor features"})
+    no_td: bool = field(default=False,
+                        metadata={"help": "disable the short-horizon table"})
+    no_nup: bool = field(default=False,
+                         metadata={"help": "disable neighbor updates"})
+    no_tup: bool = field(default=False,
+                         metadata={"help": "disable 2-order updates"})
 
     seed: int = 0
-    float32: bool = False
+    float32: bool = field(default=False, metadata={"help": "train in float32"})
 
     def validate(self) -> "RunConfig":
         if not 0.0 < self.train_frac < 1.0 or not 0.0 < self.val_frac < 1.0:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError("train_frac + val_frac must leave room for test")
-        if self.mode not in (TRANSDUCTIVE, INDUCTIVE):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.matching not in (MATCH_PAPER, MATCH_STRICT):
+        if self.matching not in MATCHINGS:
             raise ConfigError(f"unknown matching mode {self.matching!r}")
         if not 0.0 < self.inductive_fraction < 1.0:
             raise ConfigError("inductive_fraction must lie in (0, 1)")

@@ -9,11 +9,13 @@ the padding sentinel throughout the package and never appears as an endpoint.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import INDUCTIVE, TRANSDUCTIVE
 from .errors import (
     DataError,
     EmptyInputError,
@@ -65,10 +67,6 @@ class TemporalGraph:
     def node_dim(self) -> int:
         return self.node_feats.shape[1]
 
-    @property
-    def sentinel(self) -> int:
-        return self.num_nodes
-
     def check(self) -> "TemporalGraph":
         E = self.num_events
         if E == 0:
@@ -93,7 +91,7 @@ class SplitSpec:
     train_end: int
     val_end: int
     num_events: int
-    mode: str = "transductive"
+    mode: str = TRANSDUCTIVE
     inductive_nodes: frozenset[int] = field(default_factory=frozenset)
 
     def phase_range(self, phase: str) -> tuple[int, int]:
@@ -115,18 +113,32 @@ def _sniff_header(row: list[str]) -> bool:
     return False
 
 
+def _node_id(cell: str) -> int:
+    """A node id; one spelled as a float, such as ``3.0``, must be integral."""
+    try:
+        return int(cell)
+    except ValueError:
+        x = float(cell)
+    if not x.is_integer():      # also false for inf and nan
+        raise ValueError(f"node id {cell!r} is not an integer")
+    return int(x)
+
+
 def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph:
     """Load a CSV event stream, sort it by time, and densify node ids.
 
     Rows must agree on column count (feature arity).  Malformed cells raise
-    ``ParseError`` with the 1-based line number.  Sorting is stable, so
-    events sharing a timestamp keep their file order.
+    ``ParseError`` with the 1-based line number; so does a node id that is
+    not an integer (``1.5``, ``inf``, ``nan``) or does not fit in int64.
+    Sorting is stable, so events sharing a timestamp keep their file order.
     """
     path = Path(path)
     has_header = fmt.has_header
     seen_row = False
     ncols = None
-    src, dst, ts, feats = [], [], [], []
+    # int64 arrays: appending an id that does not fit raises OverflowError
+    src, dst = array("q"), array("q")
+    ts, feats = [], []
     with path.open(newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh, delimiter=fmt.delimiter), 1):
             if not row:
@@ -153,12 +165,18 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
                 raise SchemaError(
                     f"{path}: line {line_no}: expected {ncols} columns, got {len(row)}")
             try:
-                src.append(int(float(row[0])))
-                dst.append(int(float(row[1])))
+                try:    # the common case, without a call per id
+                    u, v = int(row[0]), int(row[1])
+                except ValueError:
+                    u, v = _node_id(row[0]), _node_id(row[1])
+                src.append(u)
+                dst.append(v)
                 ts.append(float(row[2]))
                 feats.append([float(c) for c in row[feat_start:]])
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
+            except OverflowError:
+                raise ParseError(line_no, "node id outside int64") from None
     if not seen_row:
         raise EmptyInputError(f"{path}: no rows")
     if ncols is None:
@@ -234,7 +252,7 @@ def select_inductive_nodes(g: TemporalGraph, split: SplitSpec,
 
 
 def with_inductive(split: SplitSpec, nodes: frozenset[int]) -> SplitSpec:
-    return replace(split, mode="inductive", inductive_nodes=nodes)
+    return replace(split, mode=INDUCTIVE, inductive_nodes=nodes)
 
 
 def _touches(g: TemporalGraph, lo: int, hi: int, nodes: frozenset[int]) -> np.ndarray:
@@ -246,7 +264,7 @@ def _touches(g: TemporalGraph, lo: int, hi: int, nodes: frozenset[int]) -> np.nd
 def train_event_indices(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
     """Trainable event indices; inductive mode drops events touching masked nodes."""
     idx = np.arange(split.train_end)
-    if split.mode == "inductive" and split.inductive_nodes:
+    if split.mode == INDUCTIVE and split.inductive_nodes:
         idx = idx[~_touches(g, 0, split.train_end, split.inductive_nodes)]
     return idx
 
@@ -258,7 +276,7 @@ def scored_event_mask(g: TemporalGraph, split: SplitSpec, phase: str) -> np.ndar
     with at least one masked endpoint; the rest still advance the state.
     """
     lo, hi = split.phase_range(phase)
-    if split.mode == "inductive" and split.inductive_nodes:
+    if split.mode == INDUCTIVE and split.inductive_nodes:
         return _touches(g, lo, hi, split.inductive_nodes)
     return np.ones(hi - lo, dtype=bool)
 

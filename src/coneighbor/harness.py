@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import INDUCTIVE, RunConfig
 from .data import (TEST, VAL, SplitSpec, TemporalGraph,
                    chronological_split, destination_pool, sample_negative,
                    scored_event_mask, select_inductive_nodes,
@@ -42,7 +42,6 @@ class Metrics:
     ap: float
     auc: float
     loss: float
-    wall_time: float
 
 
 @dataclass
@@ -153,7 +152,7 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
             (2 * B + rn, (2 + k) * B + rn))
 
 
-def _metrics(phase: str, scored: list, loss_sum: float, t0: float) -> Metrics:
+def _metrics(phase: str, scored: list, loss_sum: float) -> Metrics:
     """AP/AUC over the batches' (pos, neg) scores, in batch order.
 
     loss_sum is the sum over batches of mean loss times positive events.
@@ -165,8 +164,7 @@ def _metrics(phase: str, scored: list, loss_sum: float, t0: float) -> Metrics:
                               np.zeros(pn.size, dtype=bool)]
                         for pp, pn in scored])
     return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y),
-                   loss=loss_sum / sum(pp.size for pp, _ in scored),
-                   wall_time=time.perf_counter() - t0)
+                   loss=loss_sum / sum(pp.size for pp, _ in scored))
 
 
 def train_epoch(g: TemporalGraph, split: SplitSpec,
@@ -175,7 +173,6 @@ def train_epoch(g: TemporalGraph, split: SplitSpec,
                 epoch: int, ft: FeatureTables,
                 train_pool: np.ndarray) -> Metrics:
     """One pass over the train stream.  Caller resets state beforehand."""
-    t0 = time.perf_counter()
     rng_neg = np.random.default_rng([cfg.seed, 0x4E6, epoch])
     rng_drop = np.random.default_rng([cfg.seed, 0xD80, epoch])
     batches = _cut(train_event_indices(g, split), cfg.batch_size)
@@ -188,7 +185,7 @@ def train_epoch(g: TemporalGraph, split: SplitSpec,
         adam_step(params, grads, adam, lr=cfg.lr)
         loss_sum += loss * ev.size
         scored.append(pair)
-    return _metrics("train", scored, loss_sum, t0)
+    return _metrics("train", scored, loss_sum)
 
 
 def evaluate(g: TemporalGraph, split: SplitSpec,
@@ -201,7 +198,6 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
     scored against it.  In inductive mode only events touching a masked
     node are scored, but all events advance the state.
     """
-    t0 = time.perf_counter()
     lo, hi = split.phase_range(phase)
     mask = scored_event_mask(g, split, phase)
     rng_neg = np.random.default_rng([cfg.seed, 0xEA7, lo])
@@ -219,12 +215,12 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
         pn = predictor.score(params, H[neg[0]], H[neg[1]])
         loss_sum += bce_loss(pp, pn) * m.size
         scored.append((pp, pn))
-    return _metrics(phase, scored, loss_sum, t0)
+    return _metrics(phase, scored, loss_sum)
 
 
 def build_split(g: TemporalGraph, cfg: RunConfig) -> SplitSpec:
     split = chronological_split(g, cfg.train_frac, cfg.val_frac)
-    if cfg.mode == "inductive":
+    if cfg.mode == INDUCTIVE:
         nodes = select_inductive_nodes(g, split, cfg.inductive_fraction, cfg.seed)
         split = with_inductive(split, nodes)
     return split
@@ -244,14 +240,19 @@ def _stream_setup(g: TemporalGraph, cfg: RunConfig):
             destination_pool(g))
 
 
+def model_dims(g: TemporalGraph, cfg: RunConfig) -> ModelDims:
+    """The encoder's shape: the stream's feature widths and cfg's sizes."""
+    return ModelDims(node_dim=g.node_dim, edge_dim=g.edge_dim,
+                     time_dim=cfg.time_dim, hidden=cfg.hidden,
+                     out_dim=cfg.out_dim, layers=cfg.layers)
+
+
 def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
         checkpoint_path=None) -> dict:
     """Full train/validate/test cycle with early stopping on validation AP."""
     t0 = time.perf_counter()
     split, tdm, hist, ft, eval_pool = _stream_setup(g, cfg)
-    dims = ModelDims(node_dim=g.node_dim, edge_dim=g.edge_dim,
-                     time_dim=cfg.time_dim, hidden=cfg.hidden,
-                     out_dim=cfg.out_dim, layers=cfg.layers)
+    dims = model_dims(g, cfg)
     span = float(g.t[-1] - g.t[0])
     params = init_params(dims, cfg.seed, time_span=span, dtype=ft.dtype)
     predictor = LinkPredictor(dims, cfg.dropout)

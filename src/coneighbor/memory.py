@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MATCH_PAPER, MATCH_STRICT
+from .config import MATCH_PAPER, MATCH_STRICT, MATCHINGS
 from .errors import ConfigError, ProtocolError
 from .history import NeighborSequence, NeighborSequenceBatch
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in (MATCH_PAPER, MATCH_STRICT):
+    if mode not in MATCHINGS:
         raise ConfigError(f"unknown matching mode {mode!r}")
 
 
@@ -60,11 +60,6 @@ class HashTableMemory:
 
     def insert(self, owner: int, neighbor: int) -> None:
         self.table[owner, self.slot_of(neighbor)] = neighbor
-
-    def insert_many(self, owner: int, neighbors: np.ndarray) -> None:
-        """Insert in order; on slot collisions the later neighbor survives."""
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        self.write(np.full(neighbors.shape, owner, dtype=np.int64), neighbors)
 
     def write(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] into row rows[i] in order of i.
@@ -97,21 +92,14 @@ class HashTableMemory:
             eq &= self.table[a] != self.sentinel
         return int(eq.sum())
 
-    def co_count_rows(self, anchors: np.ndarray, peers: np.ndarray,
-                      mode: str = MATCH_PAPER) -> np.ndarray:
-        """Counts between anchor rows and per-position peer rows.
-
-        anchors: (K,) ids; peers: (K, l) ids (sentinel allowed, reads the
-        empty row).  Returns (K, l) int64 counts.
-        """
-        _check_mode(mode)
-        return self.count_gathered(anchors, self.table[peers], mode)
-
     def count_gathered(self, anchors: np.ndarray, rows_p: np.ndarray,
                        mode: str = MATCH_PAPER) -> np.ndarray:
-        """co_count_rows on peer rows already gathered as table[peers].
+        """Counts between anchor rows and per-position peer rows.
 
-        Lets one (K, l, M) gather serve counts against several anchors.
+        anchors: (K,) ids; rows_p: (K, l, M), the peer rows already
+        gathered as table[peers] (the sentinel row reads as empty), so one
+        gather serves counts against several anchors.  Returns (K, l) int64
+        counts.
         """
         rows_a = self.table[anchors][:, None, :]     # (K, 1, M)
         eq = rows_p == rows_a
@@ -154,9 +142,6 @@ class TemporalDiverseMemory:
         while q_short == q_long:
             q_short = int(rng.integers(0, 1 << 20)) * 2 + 1
         return cls(num_nodes, long_width, short_width, q_long, q_short)
-
-    def tables(self) -> tuple[HashTableMemory, HashTableMemory]:
-        return self.long, self.short
 
     # -- reads ---------------------------------------------------------
 

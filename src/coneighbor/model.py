@@ -39,7 +39,7 @@ parameter tensor against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from zipfile import BadZipFile
 
 import numpy as np
@@ -62,10 +62,10 @@ BLOCK_BYTES = 256 * 1024
 class ModelDims:
     node_dim: int
     edge_dim: int
-    time_dim: int = 50
-    hidden: int = 50
-    out_dim: int = 50
-    layers: int = 2
+    time_dim: int
+    hidden: int
+    out_dim: int
+    layers: int
 
     def validate(self) -> "ModelDims":
         if self.node_dim < 0 or self.edge_dim < 0:
@@ -139,8 +139,7 @@ def save_params(path, params: dict[str, np.ndarray], dims: ModelDims,
                 config: dict) -> None:
     """Write the parameters with the dims and the run config that made them."""
     np.savez(path, __version__=PARAMS_VERSION,
-             __dims__=np.array([dims.node_dim, dims.edge_dim, dims.time_dim,
-                                dims.hidden, dims.out_dim, dims.layers]),
+             __dims__=np.array(astuple(dims)),
              __config__=np.array(json.dumps(config, sort_keys=True)),
              **params)
 
@@ -149,7 +148,8 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
     """Parameters, dims and run config of a checkpoint from ``save_params``.
 
     A missing file raises OSError; any other file that is not a checkpoint
-    of this version raises SnapshotError.
+    of this version raises SnapshotError, and so does one whose parameter
+    names and shapes differ from those ``init_params`` gives its dims.
     """
     try:
         with np.load(path) as z:
@@ -159,10 +159,17 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
             dims = ModelDims(*(int(x) for x in z["__dims__"]))
             config = json.loads(str(z["__config__"]))
             params = {k: z[k] for k in z.files if k not in _META}
+        want = {k: v.shape for k, v in init_params(dims, 0).items()}
     except SnapshotError:
         raise
     except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as e:
         raise SnapshotError(f"unreadable checkpoint {path}: {e}") from e
+    got = {k: v.shape for k, v in params.items()}
+    bad = sorted(k for k in want.keys() | got.keys()
+                 if want.get(k) != got.get(k))
+    if bad:
+        raise SnapshotError(f"checkpoint {path}: parameters {bad} missing, "
+                            f"unexpected or misshapen for {dims}")
     return params, dims, config
 
 
@@ -263,7 +270,7 @@ class GradientTape:
 class LinkPredictor:
     """Stateless compute graph; parameters travel in plain dicts."""
 
-    def __init__(self, dims: ModelDims, dropout: float = 0.1):
+    def __init__(self, dims: ModelDims, dropout: float):
         self.dims = dims.validate()
         if not 0.0 <= dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")

@@ -1,12 +1,16 @@
+import argparse
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coneighbor.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                            main)
-from coneighbor.config import RunConfig
+                            _config, build_parser, main)
+from coneighbor.config import INDUCTIVE, MATCH_STRICT, RunConfig
 from coneighbor.model import PARAMS_VERSION
 from coneighbor.synthetic import random_stream
 
@@ -61,6 +65,15 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_integer_node_id_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("src,dst,t\n0,1,1.0\n1,inf,2.0\n")
+        code = run_cli("train", "--data", str(bad), "--out", str(tmp_path),
+                       *FAST)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3:") and err.count("\n") == 1
+
 
 class TestTrain:
     def test_writes_config_metrics_checkpoint(self, csv_path, tmp_path,
@@ -101,12 +114,80 @@ def trained(csv_path, tmp_path_factory):
     return out
 
 
-def config_flags():
-    """One ``--flag [value]`` per RunConfig field, at the default value."""
+def config_flags(cfg=RunConfig()):
+    """One ``--flag [value]`` per RunConfig field, at cfg's value.
+
+    A bool field gives its switch whatever its value.
+    """
     for f in dataclasses.fields(RunConfig):
-        value = getattr(RunConfig(), f.name)
+        value = getattr(cfg, f.name)
         flag = ["--" + f.name.replace("_", "-")]
         yield flag if isinstance(value, bool) else flag + [str(value)]
+
+
+def subparser(verb: str) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[verb]
+
+
+# every field away from its default, and still a valid config
+NON_DEFAULT = RunConfig(
+    train_frac=0.6, val_frac=0.2, mode=INDUCTIVE, inductive_fraction=0.2,
+    long_size=32, short_size=8, matching=MATCH_STRICT, seq_len=7, hidden=9,
+    time_dim=6, out_dim=5, layers=3, dropout=0.2, lr=1e-3, batch_size=50,
+    epochs=3, patience=2, neg_ratio=2, no_cne=True, no_td=True, no_nup=True,
+    no_tup=True, seed=9, float32=True).validate()
+# (verb, the argv it needs besides config flags)
+CONFIG_VERBS = [("train", ["--data", "x.csv"]),
+                ("sweep", ["--data", "x.csv", "--axis", "sequence_length",
+                           "--values", "4"])]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("verb", ["train", "sweep"])
+    def test_one_flag_per_field_with_its_name_type_and_default(self, verb):
+        fields = dataclasses.fields(RunConfig)
+        actions = {a.dest: a for a in subparser(verb)._actions}
+        other = {"help", "data", "header", "label_col", "delimiter", "out",
+                 "axis", "values"}
+        assert set(actions) - other == {f.name for f in fields}
+        for f in fields:
+            a = actions[f.name]
+            assert a.option_strings == ["--" + f.name.replace("_", "-")]
+            assert a.default == f.default and type(a.default) is type(f.default)
+            if isinstance(f.default, bool):
+                assert isinstance(a, argparse._StoreTrueAction), f.name
+            else:
+                assert a.type is type(f.default), f.name
+
+    @pytest.mark.parametrize("verb, argv", CONFIG_VERBS)
+    def test_no_config_flags_parse_to_the_defaults(self, verb, argv):
+        assert _config(build_parser().parse_args([verb, *argv])) == RunConfig()
+
+    @pytest.mark.parametrize("verb, argv", CONFIG_VERBS)
+    def test_non_default_values_round_trip(self, verb, argv):
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(NON_DEFAULT, f.name) != f.default, f.name
+        flags = [x for flag in config_flags(NON_DEFAULT) for x in flag]
+        args = build_parser().parse_args([verb, *argv, *flags])
+        assert _config(args) == NON_DEFAULT
+
+    def test_readme_commands_parse(self):
+        """Every ``coneighbor ...`` line in README.md's code blocks parses."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+        commands = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("coneighbor ")]
+        verbs = set()
+        for line in commands:
+            argv = shlex.split(line, comments=True)[1:]
+            try:
+                build_parser().parse_args(argv)
+            except Exception as e:
+                pytest.fail(f"README line does not parse: {line}\n{e}")
+            verbs.add(argv[0])
+        assert verbs == {"train", "eval", "sweep", "bench", "oracle-check"}
 
 
 class TestEval:
@@ -149,16 +230,25 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "dims" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz"])
-    def test_bad_checkpoint_is_data_error(self, csv_path, tmp_path, capsys,
-                                          kind):
+    @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz",
+                                      "missing_param", "bad_shape"])
+    def test_bad_checkpoint_is_data_error(self, csv_path, trained, tmp_path,
+                                          capsys, kind):
         path = tmp_path / "ckpt.npz"
         if kind == "not_npz":
             path.write_text("src,dst,t\n0,1,2\n")
-        else:
+        elif kind in ("v1", "wrong_version"):
             version = 1 if kind == "v1" else PARAMS_VERSION + 1
             np.savez(path, __version__=version, __dims__=np.arange(6),
                      w=np.zeros(2))
+        else:       # a real checkpoint with one parameter cut
+            with np.load(trained / "checkpoint.npz") as z:
+                entries = dict(z)
+            if kind == "missing_param":
+                del entries["out_w"]
+            else:
+                entries["fuse0_w"] = entries["fuse0_w"][:-1]
+            np.savez(path, **entries)
         code = run_cli("eval", "--data", csv_path, "--out",
                        str(tmp_path / "eval"), "--checkpoint", str(path))
         assert code == EXIT_DATA

@@ -107,6 +107,22 @@ class TestLoadEvents:
         g = load_events(write(tmp_path, "0,1,1.0\n2,0,2.0\n"))
         assert g.id_map is None
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1.5", "1e20"])
+    def test_non_integer_node_id_reports_line(self, tmp_path, column, bad):
+        # not finite, not integral, or outside int64: never truncated
+        row = ["2", "0", "2.0"]
+        row[column] = bad
+        p = write(tmp_path, "0,1,1.0\n" + ",".join(row) + "\n1,2,3.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_events(p)
+
+    def test_integral_float_node_id_accepted(self, tmp_path):
+        g = load_events(write(tmp_path, "0,1.0,1.0\n3.0,1,2.0\n"))
+        assert g.id_map == {0: 0, 1: 1, 3: 2}
+        np.testing.assert_array_equal(g.src, [0, 2])
+        np.testing.assert_array_equal(g.dst, [1, 1])
+
 
 class TestSplit:
     def test_boundaries_70_85(self):

@@ -9,13 +9,13 @@ from coneighbor.data import TEST, VAL, from_arrays, train_event_indices
 from coneighbor.harness import (HASHTABLE_AXIS, FeatureTables, build_split,
                                 destination_pool_for_training, evaluate,
                                 evaluate_checkpoint, feature_tables,
-                                replay_train, run, run_sweep,
+                                model_dims, replay_train, run, run_sweep,
                                 stack_pair_features, stream_batches,
                                 train_epoch, write_json)
 from coneighbor.history import HistoryStore
 from coneighbor.memory import TemporalDiverseMemory, check_slot_consistency
-from coneighbor.model import (LinkPredictor, ModelDims, adam_init,
-                              copy_params, init_params, load_params)
+from coneighbor.model import (LinkPredictor, adam_init, copy_params,
+                              init_params, load_params)
 from coneighbor.oracle import check_stream
 from coneighbor.synthetic import (TriadicStreamConfig, random_stream,
                                   triadic_closure_stream)
@@ -151,7 +151,7 @@ class TestTrainEpoch:
         g = from_arrays([0, 1] * 5, [1, 0] * 5, np.arange(10.0))
         cfg = tiny_cfg(seq_len=3, hidden=4, time_dim=4, out_dim=4, epochs=1)
         split, tdm, hist = fresh_state(g, cfg)
-        dims = ModelDims(0, 0, 4, 4, 4, 1)
+        dims = model_dims(g, cfg)
         params = init_params(dims, 0, dtype=np.float32)
         pred = LinkPredictor(dims, cfg.dropout)
         ft = feature_tables(g, cfg)
@@ -164,8 +164,7 @@ class TestTrainEpoch:
     def test_zero_lr_leaves_parameters_unchanged(self, rand_graph):
         cfg = tiny_cfg(lr=0.0, epochs=1)
         split, tdm, hist = fresh_state(rand_graph, cfg)
-        dims = ModelDims(0, 2, cfg.time_dim, cfg.hidden, cfg.out_dim,
-                         cfg.layers)
+        dims = model_dims(rand_graph, cfg)
         params = init_params(dims, 0, dtype=np.float32)
         before = copy_params(params)
         pred = LinkPredictor(dims, cfg.dropout)
@@ -191,8 +190,7 @@ class TestEvaluate:
         split, tdm, hist = fresh_state(rand_graph, cfg)
         replay_train(rand_graph, split, tdm, hist, cfg)
         table_before = tdm.long.table.copy()
-        dims = ModelDims(0, 2, cfg.time_dim, cfg.hidden, cfg.out_dim,
-                         cfg.layers)
+        dims = model_dims(rand_graph, cfg)
         params = init_params(dims, 0, dtype=np.float32)
         evaluate(rand_graph, split, tdm, hist, LinkPredictor(dims, cfg.dropout),
                  params, cfg, VAL, feature_tables(rand_graph, cfg),
@@ -207,7 +205,7 @@ class TestEvaluate:
         batches = cut(0, split.train_end) + cut(split.train_end, split.val_end)
         for _ in stream_batches(rand_graph, batches, ref_tdm, ref_hist, cfg):
             pass
-        for mem, ref in zip(tdm.tables(), ref_tdm.tables()):
+        for mem, ref in ((tdm.long, ref_tdm.long), (tdm.short, ref_tdm.short)):
             np.testing.assert_array_equal(mem.table, ref.table)
         nodes = np.arange(rand_graph.num_nodes)
         later = np.full(nodes.size, rand_graph.t[-1] + 1)
@@ -220,8 +218,7 @@ class TestEvaluate:
         cfg = tiny_cfg()
         split, tdm, hist = fresh_state(g, cfg)
         replay_train(g, split, tdm, hist, cfg)
-        dims = ModelDims(0, 0, cfg.time_dim, cfg.hidden, cfg.out_dim,
-                         cfg.layers)
+        dims = model_dims(g, cfg)
         params = init_params(dims, 5, dtype=np.float32)
         pred = LinkPredictor(dims, cfg.dropout)
         m = evaluate(g, split, tdm, hist, pred, params, cfg, TEST,
@@ -259,7 +256,7 @@ class TestSelfLoops:
         window = hist.recent_batch([0], [g.t[-1] + 1], 2 * train_loops + 2)
         assert window.valid[0].sum() == 1 + 2 * train_loops
         assert (window.peers[0, window.valid[0]] == 0).all()
-        for mem in tdm.tables():
+        for mem in (tdm.long, tdm.short):
             check_slot_consistency(mem)
             row = np.full(mem.width, mem.sentinel)
             row[mem.slot_of(0)] = 0
@@ -278,7 +275,7 @@ def _run_consumer(name, monkeypatch):
                    mode="inductive" if name.endswith("inductive") else
                    "transductive")
     split, tdm, hist = fresh_state(g, cfg)
-    dims = ModelDims(0, 0, cfg.time_dim, cfg.hidden, cfg.out_dim, cfg.layers)
+    dims = model_dims(g, cfg)
     params = init_params(dims, 0, dtype=np.float32)
     pred = LinkPredictor(dims, cfg.dropout)
     ft, pool = feature_tables(g, cfg), destination_pool_for_training(g, split)

@@ -64,17 +64,16 @@ class TestHashTableBasics:
         m.insert(0, 5)
         np.testing.assert_array_equal(m.table, before)
 
-    def test_insert_many_keeps_last_on_duplicate_slot(self):
+    def test_write_keeps_last_on_duplicate_slot(self):
         m = HashTableMemory(16, 4, 1)
-        m.insert_many(0, np.array([3, 7, 11]))   # all map to slot 3
+        m.write(np.zeros(3, dtype=np.int64), np.array([3, 7, 11]))  # slot 3
         assert m.table[0, 3] == 11
 
-    def test_insert_many_empty_is_a_no_op(self):
+    def test_write_empty_is_a_no_op(self):
         m = HashTableMemory(8, 4, 1)
         m.insert(2, 5)
         before = m.table.copy()
-        m.insert_many(2, np.array([], dtype=np.int64))
-        m.insert_many(3, [])
+        m.write(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         np.testing.assert_array_equal(m.table, before)
 
     def test_write_rejects_keys_that_overflow_int64(self):
@@ -136,14 +135,14 @@ class TestCoCount:
         assert m.co_count(0, 1, MATCH_STRICT) == 1
         assert m.co_count(0, 1, MATCH_PAPER) == 2
 
-    def test_rows_version_matches_scalar(self, rng):
+    def test_gathered_version_matches_scalar(self, rng):
         m = HashTableMemory(20, 8, 3)
         for _ in range(60):
             m.insert(int(rng.integers(20)), int(rng.integers(20)))
         anchors = rng.integers(0, 20, 6)
         peers = rng.integers(0, 21, (6, 4))   # includes the padding row
         for mode in (MATCH_PAPER, MATCH_STRICT):
-            got = m.co_count_rows(anchors, peers, mode)
+            got = m.count_gathered(anchors, m.table[peers], mode)
             for i in range(6):
                 for j in range(4):
                     a, b = int(anchors[i]), int(peers[i, j])
@@ -270,7 +269,7 @@ class TestLinkUpdate:
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
         tdm.apply_link_update(0, 1, seq(0, [0]), seq(1, [1]),
                               two_order=False, neighbor_update=False)
-        for mem in tdm.tables():
+        for mem in (tdm.long, tdm.short):
             assert mem.table[0, mem.slot_of(1)] == 1
             assert mem.table[1, mem.slot_of(0)] == 0
             assert (mem.table != mem.sentinel).sum() == 2
@@ -336,7 +335,7 @@ def _insert_one_by_one(tdm, u, v, seq_u, seq_v, two_order, neighbor_update,
         writes += [(u, int(j)) for j in peers_v] + [(v, int(i)) for i in peers_u]
     if neighbor_update:
         writes += [(int(i), v) for i in peers_u] + [(int(j), u) for j in peers_v]
-    for mem in tdm.tables() if update_short else (tdm.long,):
+    for mem in (tdm.long, tdm.short) if update_short else (tdm.long,):
         for row, val in writes:
             mem.insert(row, val)
 
@@ -373,7 +372,7 @@ def test_batched_update_equals_event_loop(seed, B, len_u, len_v, widths,
                             for _ in range(3))
     for row, val in r.integers(n, size=(20, 2)):   # same non-empty start
         for tdm in (batched, looped, ref):
-            for mem in tdm.tables():
+            for mem in (tdm.long, tdm.short):
                 mem.insert(int(row), int(val))
     batched.apply_link_update(u, v, squ, sqv, **flags)
     for j in range(B):

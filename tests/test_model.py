@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestDims:
                                     dict(node_dim=-1), dict(out_dim=0)])
     def test_invalid_dims_rejected(self, kw):
         with pytest.raises(ConfigError):
-            ModelDims(**{**dict(node_dim=1, edge_dim=1), **kw}).validate()
+            dataclasses.replace(SMALL, **kw).validate()
 
 
 class TestTimeEncode:
@@ -476,6 +478,20 @@ class TestSaveLoad:
         assert set(loaded) == set(params)
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
+
+    @pytest.mark.parametrize("cut", ["missing", "extra", "misshapen"])
+    def test_params_must_match_the_stored_dims(self, tmp_path, cut):
+        params = init_params(SMALL, seed=4)
+        if cut == "missing":
+            del params["merge_b"]
+        elif cut == "extra":
+            params["spare_w"] = np.zeros(2)
+        else:
+            params["proj_time_w"] = params["proj_time_w"][:, :-1]
+        path = tmp_path / "ckpt.npz"
+        save_params(path, params, SMALL, RunConfig().to_dict())
+        with pytest.raises(SnapshotError, match="missing, unexpected or misshapen"):
+            load_params(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
