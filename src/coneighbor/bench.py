@@ -23,7 +23,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .data import SplitSpec
-from .harness import feature_tables, replay_train, stack_pair_features
+from .harness import (endpoint_windows, feature_tables, replay_train,
+                       stack_pair_features)
 from .history import HistoryStore
 from .memory import TemporalDiverseMemory
 from .synthetic import random_stream
@@ -97,8 +98,7 @@ def _time_encoding(g, hist, tdm, cfg: RunConfig, batch: np.ndarray,
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        squ = hist.recent_batch(u, query_t, cfg.seq_len)
-        sqv = hist.recent_batch(v, query_t, cfg.seq_len)
+        squ, sqv = endpoint_windows(hist, u, v, query_t, cfg.seq_len)
         stack_pair_features(ft, cfg, tdm, [(squ, v), (sqv, u)])
         best = min(best, time.perf_counter() - t0)
     return best

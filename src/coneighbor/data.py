@@ -9,6 +9,7 @@ the padding sentinel throughout the package and never appears as an endpoint.
 from __future__ import annotations
 
 import csv
+import itertools
 from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -124,13 +125,24 @@ def _node_id(cell: str) -> int:
     return int(x)
 
 
+def _event_line(path: Path, fmt: CsvLayout, has_header: bool,
+                index: int) -> int:
+    """The 1-based line number of event row ``index``, counted as
+    load_events counts lines."""
+    with path.open(newline="") as fh:
+        lines = (line_no for line_no, row in
+                 enumerate(csv.reader(fh, delimiter=fmt.delimiter), 1) if row)
+        return next(itertools.islice(lines, index + bool(has_header), None))
+
+
 def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph:
     """Load a CSV event stream, sort it by time, and densify node ids.
 
     Rows must agree on column count (feature arity).  Malformed cells raise
     ``ParseError`` with the 1-based line number; so does a node id that is
-    not an integer (``1.5``, ``inf``, ``nan``) or does not fit in int64.
-    Sorting is stable, so events sharing a timestamp keep their file order.
+    not an integer (``1.5``, ``inf``, ``nan``), is negative or does not fit
+    in int64.  Sorting is stable, so events sharing a timestamp keep their
+    file order.
     """
     path = Path(path)
     has_header = fmt.has_header
@@ -182,12 +194,16 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
     if ncols is None:
         raise EmptyInputError(f"{path}: header only, no events")
 
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if min(src.min(), dst.min()) < 0:
+        # rows are not numbered in the loop above; find the line only here
+        i = int(np.flatnonzero((src < 0) | (dst < 0))[0])
+        raise ParseError(_event_line(path, fmt, has_header, i),
+                         f"node id {min(src[i], dst[i])} is negative")
     edge_feats = np.asarray(feats, dtype=np.float64)
     if edge_feats.size == 0:
         edge_feats = np.zeros((len(src), 0), dtype=np.float64)
-    return from_arrays(np.asarray(src, dtype=np.int64),
-                       np.asarray(dst, dtype=np.int64),
-                       np.asarray(ts, dtype=np.float64),
+    return from_arrays(src, dst, np.asarray(ts, dtype=np.float64),
                        edge_feats=edge_feats)
 
 

@@ -62,7 +62,7 @@ def feature_tables(g: TemporalGraph, cfg: RunConfig) -> FeatureTables:
     return FeatureTables(node_ext, edge_ext, dtype)
 
 
-def _take(seq: NeighborSequenceBatch, idx: np.ndarray) -> NeighborSequenceBatch:
+def _take(seq: NeighborSequenceBatch, idx) -> NeighborSequenceBatch:
     return NeighborSequenceBatch(seq.anchors[idx], seq.t[idx],
                                  seq.peers[idx], seq.dt[idx],
                                  seq.eidx[idx], seq.valid[idx])
@@ -75,35 +75,70 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
     """Build encoder inputs for a list of (sequence, other-anchor) sides.
 
     Structure counts are pair-specific: each side is counted against its
-    own anchor and against the partner it is being scored with.  Counts
-    are scaled by the table width so inputs live in [0, 1].  The ablation
+    own anchor and against the partner it is being scored with.  A side
+    may name m*K partners for a window of K rows; it is then the window
+    repeated m times, row k of repeat j scored against partner j*K + k.
+    Sides that name the same window object share one gather of its peer
+    rows and one count against its own anchors, per table.  Counts are
+    scaled by the table width so inputs live in [0, 1].  The ablation
     switches zero-fill the corresponding blocks and leave every other
     input byte-identical.
     """
-    peers = np.concatenate([s.peers for s, _ in sides])
-    valid = np.concatenate([s.valid for s, _ in sides])
-    dt = np.concatenate([s.dt for s, _ in sides]).astype(ft.dtype)
-    own = np.concatenate([s.anchors for s, _ in sides])
-    other = np.concatenate([np.asarray(o, dtype=np.int64) for _, o in sides])
+    # distinct windows in order of first use, the partner columns of each,
+    # and per side (window, first partner column, repeats)
+    wins, parts, use = [], [], []
+    for seq, other in sides:
+        other = np.asarray(other, dtype=np.int64).reshape(-1, len(seq)).T
+        w = next((i for i, s in enumerate(wins) if s is seq), None)
+        if w is None:
+            w = len(wins)
+            wins.append(seq)
+            parts.append([])
+        use.append((w, 1 + sum(p.shape[1] for p in parts[w]), other.shape[1]))
+        parts[w].append(other)
 
+    def stack(name):
+        return np.concatenate([np.tile(getattr(wins[w], name), (m, 1))
+                               for w, _, m in use])
+
+    peers = stack("peers")
     K, l = peers.shape
-    if cfg.no_cne:
-        co_long = np.zeros((K, l, 2), dtype=ft.dtype)
-        co_short = np.zeros((K, l, 2), dtype=ft.dtype)
-    else:
-        lng, sht = tdm.co_encode_batch(own, other, peers, valid, cfg.matching,
-                                       short=not cfg.no_td)
-        co_long = (lng / tdm.long.width).astype(ft.dtype)
-        if cfg.no_td:
-            co_short = np.zeros((K, l, 2), dtype=ft.dtype)
-        else:
-            co_short = (sht / tdm.short.width).astype(ft.dtype)
-
-    eidx = np.concatenate([s.eidx for s, _ in sides])
+    co_long = np.zeros((K, l, 2), dtype=ft.dtype)
+    co_short = np.zeros((K, l, 2), dtype=ft.dtype)
+    if not cfg.no_cne:
+        out = [(co_long, tdm.long)]
+        if not cfg.no_td:
+            out.append((co_short, tdm.short))
+        counts = []
+        for seq, p in zip(wins, parts):
+            c = tdm.co_encode_batch(seq.anchors, np.concatenate(p, axis=1),
+                                    seq.peers, seq.valid, cfg.matching,
+                                    short=not cfg.no_td)
+            counts.append([(x / mem.width).astype(ft.dtype)
+                           for x, (_, mem) in zip(c, out)])
+        r = 0
+        for w, lo, m in use:
+            n = m * len(wins[w])
+            for (co, _), c in zip(out, counts[w]):
+                blk = co[r:r + n].reshape(m, -1, l, 2)
+                blk[..., 0] = c[..., 0]
+                blk[..., 1] = np.moveaxis(c[..., lo:lo + m], 2, 0)
+            r += n
+    eidx = stack("eidx")
     edge_rows = np.where(eidx < 0, ft.edge_ext.shape[0] - 1, eidx)
-    return SequenceFeatures(dt=dt, node=ft.node_ext[peers],
+    return SequenceFeatures(dt=stack("dt").astype(ft.dtype),
+                            node=ft.node_ext[peers],
                             edge=ft.edge_ext[edge_rows],
                             co_long=co_long, co_short=co_short)
+
+
+def endpoint_windows(hist: HistoryStore, u: np.ndarray, v: np.ndarray,
+                     t: np.ndarray, length: int):
+    """(squ, sqv): both endpoints' windows at t, from one history walk."""
+    sq = hist.recent_batch(np.concatenate([u, v]), np.concatenate([t, t]),
+                           length)
+    B = len(u)
+    return _take(sq, slice(None, B)), _take(sq, slice(B, None))
 
 
 def stream_batches(g: TemporalGraph, batches, tdm: TemporalDiverseMemory,
@@ -117,8 +152,7 @@ def stream_batches(g: TemporalGraph, batches, tdm: TemporalDiverseMemory,
     """
     for ev in batches:
         u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-        squ = hist.recent_batch(u, t, cfg.seq_len)
-        sqv = hist.recent_batch(v, t, cfg.seq_len)
+        squ, sqv = endpoint_windows(hist, u, v, t, cfg.seq_len)
         yield ev, squ, sqv
         tdm.apply_link_update(u, v, squ, sqv, two_order=not cfg.no_tup,
                               neighbor_update=not cfg.no_nup,
@@ -138,15 +172,15 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
     """Encoder inputs for B positive pairs and their k negatives each.
 
     Draws the negatives, then their windows.  The four sides are (u, v),
-    (v, u), (u, negative) and (negative, u); returns the feature stack and
-    the (left, right) row indices of the positive and negative pairs.
+    (v, u), (u, negative) and (negative, u); u's window serves the first
+    and the third.  Returns the feature stack and the (left, right) row
+    indices of the positive and negative pairs.
     """
     u, v, t = g.src[ev], g.dst[ev], g.t[ev]
     B, k = ev.size, cfg.neg_ratio
     neg = sample_negative(B * k, pool, rng)
     sqn = hist.recent_batch(neg, np.tile(t, k), cfg.seq_len)
-    sides = [(squ, v), (sqv, u), (_take(squ, np.tile(np.arange(B), k)), neg),
-             (sqn, np.tile(u, k))]
+    sides = [(squ, v), (sqv, u), (squ, neg), (sqn, np.tile(u, k))]
     r, rn = np.arange(B), np.arange(B * k)
     return (stack_pair_features(ft, cfg, tdm, sides), (r, B + r),
             (2 * B + rn, (2 + k) * B + rn))

@@ -20,6 +20,7 @@ table overwrites faster and therefore tracks only recent neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class HashTableMemory:
     def __init__(self, num_nodes: int, width: int, multiplier: int):
         if width < 1:
             raise ConfigError("table width must be >= 1")
-        if multiplier < 1 or multiplier % 2 == 0:
+        if multiplier < 1 or gcd(multiplier, width) != 1:
             raise ConfigError(
-                "hash multiplier must be odd and positive; even multipliers "
-                "alias slots when the width is a power of two")
+                f"hash multiplier {multiplier} must be positive and coprime "
+                f"to the width {width}; otherwise some slots are never used")
         self.num_nodes = num_nodes
         self.width = width
         self.multiplier = multiplier
@@ -135,12 +136,23 @@ class TemporalDiverseMemory:
     @classmethod
     def from_seed(cls, num_nodes: int, long_width: int, short_width: int,
                   seed: int) -> "TemporalDiverseMemory":
-        """Draw two distinct odd multipliers deterministically from the seed."""
+        """Draw two distinct odd multipliers deterministically from the seed.
+
+        A draw that shares a factor with either width is drawn again.  An
+        odd multiplier never does with a power-of-two width, so there the
+        draws are the first two distinct odd ones.
+        """
         rng = np.random.default_rng([seed, 0x4A5])
-        q_long = int(rng.integers(0, 1 << 20)) * 2 + 1
-        q_short = q_long
+
+        def draw() -> int:
+            while True:
+                q = int(rng.integers(0, 1 << 20)) * 2 + 1
+                if gcd(q, long_width * short_width) == 1:
+                    return q
+
+        q_long = q_short = draw()
         while q_short == q_long:
-            q_short = int(rng.integers(0, 1 << 20)) * 2 + 1
+            q_short = draw()
         return cls(num_nodes, long_width, short_width, q_long, q_short)
 
     # -- reads ---------------------------------------------------------
@@ -151,23 +163,24 @@ class TemporalDiverseMemory:
                         ) -> tuple[np.ndarray, np.ndarray | None]:
         """Structure features for a stack of sequences.
 
-        For row k with peers p_1..p_l, produces per position the pair
-        (count to anchor_own[k], count to anchor_other[k]).  Padding
+        Row k's peers p_1..p_l are gathered once per table and counted
+        against anchor_own[k] and against anchor_other[k], which is one id
+        or, as a (K, m) array, m ids.  Per position that gives n = 1 + m
+        counts: to anchor_own, then to each other anchor.  Padding
         positions (valid False) are overridden to the no-information value:
         full width under paper matching, zero under strict.
 
-        Returns (long_counts, short_counts), each (K, l, 2) int64; with
+        Returns (long_counts, short_counts), each (K, l, n) int64; with
         short False the short table is not read and short_counts is None.
         """
         _check_mode(mode)
-        anchor_own = np.asarray(anchor_own, dtype=np.int64)
-        anchor_other = np.asarray(anchor_other, dtype=np.int64)
+        anchors = np.column_stack([anchor_own, anchor_other]).astype(np.int64)
         out = []
         for mem in (self.long, self.short) if short else (self.long,):
             rows_p = mem.table[peers]                # (K, l, M), gathered once
-            c = np.stack([mem.count_gathered(anchor_own, rows_p, mode),
-                          mem.count_gathered(anchor_other, rows_p, mode)],
-                         axis=2)
+            c = np.empty(peers.shape + anchors.shape[1:], dtype=np.int64)
+            for j in range(anchors.shape[1]):
+                c[..., j] = mem.count_gathered(anchors[:, j], rows_p, mode)
             c[~valid] = mem.width if mode == MATCH_PAPER else 0
             out.append(c)
         return out[0], out[1] if short else None

@@ -109,25 +109,37 @@ def init_time_frequencies(time_dim: int, time_span: float,
     return (10.0 ** (-i * alpha / time_dim)).astype(dtype)
 
 
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order ``init_params`` draws them."""
+    dims.validate()
+    d, f = dims.hidden, dims.fused
+    shapes = {"time_freq": (dims.time_dim,)}
+    for name, fan_in in zip(BLOCKS, (dims.node_dim, dims.edge_dim,
+                                     dims.time_dim, 2, 2)):
+        shapes[f"proj_{name}_w"] = (fan_in, d)
+        shapes[f"proj_{name}_b"] = (d,)
+    for layer in range(dims.layers):
+        shapes[f"fuse{layer}_w"] = (f, f)
+        shapes[f"fuse{layer}_b"] = (f,)
+    shapes["out_w"] = (f, dims.out_dim)
+    shapes["out_b"] = (dims.out_dim,)
+    shapes["merge_w"] = (2 * dims.out_dim, 1)
+    shapes["merge_b"] = (1,)
+    return shapes
+
+
 def init_params(dims: ModelDims, seed: int, time_span: float = 1.0,
                 dtype=np.float64) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, geometric time frequencies."""
-    dims.validate()
     rng = np.random.default_rng([seed, 0x0DE])
-    d, f = dims.hidden, dims.fused
     p: dict[str, np.ndarray] = {}
-    p["time_freq"] = init_time_frequencies(dims.time_dim, time_span, dtype)
-    for name, fan_in in zip(BLOCKS, (dims.node_dim, dims.edge_dim,
-                                     dims.time_dim, 2, 2)):
-        p[f"proj_{name}_w"] = _glorot(rng, fan_in, d, dtype)
-        p[f"proj_{name}_b"] = np.zeros(d, dtype=dtype)
-    for layer in range(dims.layers):
-        p[f"fuse{layer}_w"] = _glorot(rng, f, f, dtype)
-        p[f"fuse{layer}_b"] = np.zeros(f, dtype=dtype)
-    p["out_w"] = _glorot(rng, f, dims.out_dim, dtype)
-    p["out_b"] = np.zeros(dims.out_dim, dtype=dtype)
-    p["merge_w"] = _glorot(rng, 2 * dims.out_dim, 1, dtype)
-    p["merge_b"] = np.zeros(1, dtype=dtype)
+    for name, shape in param_shapes(dims).items():
+        if name == "time_freq":
+            p[name] = init_time_frequencies(dims.time_dim, time_span, dtype)
+        elif name.endswith("_w"):
+            p[name] = _glorot(rng, *shape, dtype)
+        else:
+            p[name] = np.zeros(shape, dtype=dtype)
     return p
 
 
@@ -149,7 +161,7 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
 
     A missing file raises OSError; any other file that is not a checkpoint
     of this version raises SnapshotError, and so does one whose parameter
-    names and shapes differ from those ``init_params`` gives its dims.
+    names and shapes differ from ``param_shapes`` of its dims.
     """
     try:
         with np.load(path) as z:
@@ -159,7 +171,7 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
             dims = ModelDims(*(int(x) for x in z["__dims__"]))
             config = json.loads(str(z["__config__"]))
             params = {k: z[k] for k in z.files if k not in _META}
-        want = {k: v.shape for k, v in init_params(dims, 0).items()}
+        want = param_shapes(dims)
     except SnapshotError:
         raise
     except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as e:

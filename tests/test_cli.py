@@ -74,6 +74,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: line 3:") and err.count("\n") == 1
 
+    def test_negative_node_id_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,1,1\n1,-2,1\n")
+        code = run_cli("train", "--data", str(bad), "--out", str(tmp_path),
+                       *FAST)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: line 2: node id -2 is negative\n")
+
 
 class TestTrain:
     def test_writes_config_metrics_checkpoint(self, csv_path, tmp_path,

@@ -63,6 +63,17 @@ class TestLoadEvents:
         with pytest.raises(EmptyInputError):
             load_events(write(tmp_path, "src,dst,t\n"))
 
+    @pytest.mark.parametrize("text,line,node", [
+        ("1,-2,1\n", 1, -2),
+        ("src,dst,t\n0,1,1.0\n\n-3,1,2.0\n", 4, -3),
+        # the first bad row in file order, not in time order
+        ("\n0,1,5.0\n1,2,6.0\n2,-1,7.0\n-5,1,1.0\n", 4, -1),
+    ])
+    def test_negative_node_id_reports_line(self, tmp_path, text, line, node):
+        with pytest.raises(ParseError,
+                           match=f"^line {line}: node id {node} is negative$"):
+            load_events(write(tmp_path, text))
+
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         # the header is the first non-blank row and sets no arity; the
         # first data row does, and line numbers count blank lines

@@ -1,21 +1,25 @@
+import dataclasses
 import itertools
 import re
 
 import numpy as np
 import pytest
 
-from coneighbor.config import RunConfig
-from coneighbor.data import TEST, VAL, from_arrays, train_event_indices
+from coneighbor import harness
+from coneighbor.config import MATCH_PAPER, RunConfig
+from coneighbor.data import (TEST, VAL, from_arrays, scored_event_mask,
+                             train_event_indices)
 from coneighbor.harness import (HASHTABLE_AXIS, FeatureTables, build_split,
-                                destination_pool_for_training, evaluate,
+                                destination_pool_for_training,
+                                endpoint_windows, evaluate,
                                 evaluate_checkpoint, feature_tables,
                                 model_dims, replay_train, run, run_sweep,
                                 stack_pair_features, stream_batches,
                                 train_epoch, write_json)
-from coneighbor.history import HistoryStore
+from coneighbor.history import HistoryStore, NeighborSequenceBatch
 from coneighbor.memory import TemporalDiverseMemory, check_slot_consistency
-from coneighbor.model import (LinkPredictor, adam_init, copy_params,
-                              init_params, load_params)
+from coneighbor.model import (LinkPredictor, SequenceFeatures, adam_init,
+                              copy_params, init_params, load_params)
 from coneighbor.oracle import check_stream
 from coneighbor.synthetic import (TriadicStreamConfig, random_stream,
                                   triadic_closure_stream)
@@ -144,6 +148,108 @@ class TestStackPairFeatures:
         eidx = np.concatenate([s.eidx for s, _ in sides])
         pad_edge = feats.edge[(~valid) | (eidx < 0)]
         assert not pad_edge.any()
+
+
+def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
+    """Encoder inputs with every side's window copied, gathered and counted
+    on its own: the reference for the shared path."""
+    out = {f.name: [] for f in dataclasses.fields(SequenceFeatures)}
+    for seq, other in sides:
+        idx = np.tile(np.arange(len(seq)), len(other) // len(seq))
+        peers, valid, own = seq.peers[idx], seq.valid[idx], seq.anchors[idx]
+        for name, off in (("long", cfg.no_cne),
+                          ("short", cfg.no_cne or cfg.no_td)):
+            if off:
+                out[f"co_{name}"].append(np.zeros(peers.shape + (2,),
+                                                  ft.dtype))
+                continue
+            mem = getattr(tdm, name)
+            rows_p = mem.table[peers]
+            c = np.stack([mem.count_gathered(own, rows_p, cfg.matching),
+                          mem.count_gathered(other, rows_p, cfg.matching)],
+                         axis=2)
+            c[~valid] = mem.width if cfg.matching == MATCH_PAPER else 0
+            out[f"co_{name}"].append((c / mem.width).astype(ft.dtype))
+        eidx = seq.eidx[idx]
+        out["dt"].append(seq.dt[idx].astype(ft.dtype))
+        out["node"].append(ft.node_ext[peers])
+        out["edge"].append(ft.edge_ext[np.where(eidx < 0, len(ft.edge_ext) - 1,
+                                                eidx)])
+    return SequenceFeatures(**{k: np.concatenate(v) for k, v in out.items()})
+
+
+class TestSharedWindows:
+    """Each window is extracted once and gathered once per table."""
+
+    @pytest.mark.parametrize("length", [1, 3, 8])
+    def test_endpoint_windows_equal_two_walks(self, rand_graph, length):
+        g = rand_graph
+        hist = HistoryStore(g.num_nodes)
+        hist.record_batch(g.src[:600], g.dst[:600], g.t[:600], np.arange(600))
+        # query times before, at (ties) and after the recorded entries
+        ev = np.arange(550, 700)
+        u, v, t = g.src[ev], g.dst[ev], g.t[ev]
+        squ, sqv = endpoint_windows(hist, u, v, t, length)
+        for got, anchors in ((squ, u), (sqv, v)):
+            want = hist.recent_batch(anchors, t, length)
+            for f in dataclasses.fields(NeighborSequenceBatch):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), f.name
+
+    @pytest.mark.parametrize("phase,kw", [
+        (VAL, {}),
+        (VAL, dict(matching="strict")),
+        (VAL, dict(no_td=True)),
+        (VAL, dict(no_cne=True)),
+        (VAL, dict(neg_ratio=3)),
+        (VAL, dict(mode="inductive")),
+        ("train", {}),
+        ("train", dict(neg_ratio=3, matching="strict")),
+    ])
+    def test_shared_gather_equals_per_side_counting(self, rand_graph,
+                                                    monkeypatch, phase, kw):
+        g, cfg = rand_graph, tiny_cfg(**kw)
+        split, tdm, hist = fresh_state(g, cfg)
+        dims = model_dims(g, cfg)
+        params = init_params(dims, 0, dtype=np.float32)
+        pred = LinkPredictor(dims, cfg.dropout)
+        ft, pool = feature_tables(g, cfg), destination_pool_for_training(g, split)
+
+        rows, checked = [], []
+        inner_count = TemporalDiverseMemory.co_encode_batch
+
+        def count(self, own, other, peers, *a, **k):
+            rows.append(len(peers))
+            return inner_count(self, own, other, peers, *a, **k)
+
+        def stack(ft_, cfg_, tdm_, sides):
+            rows.clear()
+            got = stack_pair_features(ft_, cfg_, tdm_, sides)
+            want = per_side_features(ft_, cfg_, tdm_, sides)
+            for f in dataclasses.fields(SequenceFeatures):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), f.name
+            B = len(sides[0][0])
+            # u's window serves (u, v) and (u, negative): three windows
+            assert rows == ([] if cfg.no_cne else [B, B, cfg.neg_ratio * B])
+            checked.append(B)
+            return got
+
+        monkeypatch.setattr(TemporalDiverseMemory, "co_encode_batch", count)
+        monkeypatch.setattr(harness, "stack_pair_features", stack)
+        if phase == "train":
+            train_epoch(g, split, tdm, hist, pred, params, adam_init(params),
+                        cfg, 0, ft, pool)
+            assert sum(checked) == train_event_indices(g, split).size
+        else:
+            replay_train(g, split, tdm, hist, cfg)
+            evaluate(g, split, tdm, hist, pred, params, cfg, phase, ft, pool)
+            scored = scored_event_mask(g, split, phase)
+            assert sum(checked) == scored.sum()
+            if cfg.mode == "inductive":     # the masked path is exercised
+                assert 0 < scored.sum() < scored.size
 
 
 class TestTrainEpoch:

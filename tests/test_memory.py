@@ -1,6 +1,8 @@
+from math import gcd
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
@@ -31,6 +33,15 @@ class TestHashTableBasics:
     def test_even_multiplier_rejected(self):
         with pytest.raises(ConfigError):
             HashTableMemory(10, 8, 4)
+
+    @pytest.mark.parametrize("q,M", [(3, 48), (9, 12), (5, 10), (6, 9)])
+    def test_multiplier_sharing_a_factor_with_the_width_rejected(self, q, M):
+        with pytest.raises(ConfigError, match="coprime"):
+            HashTableMemory(10, M, q)
+
+    def test_even_multiplier_coprime_to_an_odd_width_accepted(self):
+        m = HashTableMemory(10, 9, 4)
+        assert sorted(m.slot_of(np.arange(9))) == list(range(9))
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ConfigError):
@@ -99,8 +110,10 @@ def test_write_equals_insert_loop(seed, n, num_nodes, width, q, spread):
 
     Rows come from the last `spread` nodes, so the flat slot indices reach
     the top of the table, and widths of a few slots make most writes
-    collide, many times over for the longer lists.
+    collide, many times over for the longer lists.  Multipliers sharing a
+    factor with the width are not valid tables.
     """
+    assume(gcd(q, width) == 1)
     r = np.random.default_rng(seed)
     rows = r.integers(max(0, num_nodes - spread), num_nodes, size=n)
     values = r.integers(0, num_nodes, size=n)
@@ -242,6 +255,25 @@ class TestCoEncode:
         assert fv.long[1, 0] == 8 and fv.long[2, 0] == 8
         fu, fv = tdm.co_encode(0, 1, s_u, s_v, mode=MATCH_STRICT)
         assert fu.long[2, 0] == 0 and fv.long[1, 0] == 0
+
+    @pytest.mark.parametrize("mode", [MATCH_PAPER, MATCH_STRICT])
+    def test_several_other_anchors_equal_one_at_a_time(self, rng, mode):
+        tdm = TemporalDiverseMemory(30, 16, 4, 5, 3)
+        for _ in range(300):
+            tdm.long.insert(int(rng.integers(30)), int(rng.integers(30)))
+            tdm.short.insert(int(rng.integers(30)), int(rng.integers(30)))
+        B, l, m = 20, 5, 3
+        own = rng.integers(0, 30, B)
+        others = rng.integers(0, 30, (B, m))
+        peers = rng.integers(0, 30, (B, l))
+        valid = rng.random((B, l)) < 0.8
+        peers[~valid] = 30
+        lng, sht = tdm.co_encode_batch(own, others, peers, valid, mode)
+        assert lng.shape == sht.shape == (B, l, 1 + m)
+        for j in range(m):
+            l1, s1 = tdm.co_encode_batch(own, others[:, j], peers, valid, mode)
+            np.testing.assert_array_equal(lng[..., [0, 1 + j]], l1)
+            np.testing.assert_array_equal(sht[..., [0, 1 + j]], s1)
 
     def test_batch_equals_sequential(self, rng):
         tdm = TemporalDiverseMemory(30, 16, 4, 5, 3)
@@ -472,6 +504,38 @@ def test_collision_free_equivalence_property(seed, n, events):
     check_slot_consistency(tdm.long)
     a, b = int(r.integers(n)), int(r.integers(n))
     assert tdm.long.co_count(a, b, MATCH_STRICT) == log.common(a, b)
+
+
+def _first_two_distinct_odd(seed):
+    """The first two distinct odd draws for the seed, with no width check."""
+    rng = np.random.default_rng([seed, 0x4A5])
+    q_long = int(rng.integers(0, 1 << 20)) * 2 + 1
+    q_short = q_long
+    while q_short == q_long:
+        q_short = int(rng.integers(0, 1 << 20)) * 2 + 1
+    return q_long, q_short
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 200), st.integers(0, 2 ** 16))
+@example(12, 36, 0)     # width 48: these seeds drew multipliers
+@example(12, 36, 1)     # divisible by 3, which reached 16 of 48 slots
+@example(12, 36, 2)
+@example(12, 36, 5)
+def test_every_slot_reachable_at_any_width(short_width, extra, seed):
+    tdm = TemporalDiverseMemory.from_seed(1, short_width + extra,
+                                          short_width, seed)
+    for mem in (tdm.long, tdm.short):
+        assert np.unique(mem.slot_of(np.arange(mem.width))).size == mem.width
+
+
+@pytest.mark.parametrize("widths", [(2, 1), (8, 4), (64, 16), (256, 64),
+                                    (512, 128)])
+@pytest.mark.parametrize("seed", range(6))
+def test_power_of_two_widths_draw_the_same_multipliers(widths, seed):
+    tdm = TemporalDiverseMemory.from_seed(3, *widths, seed)
+    assert ((tdm.long.multiplier, tdm.short.multiplier)
+            == _first_two_distinct_odd(seed))
 
 
 def test_tdm_config_validation():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from coneighbor.model import (BLOCKS, CLAMP_EPS, PARAMS_VERSION, AdamState,
                               LinkPredictor, ModelDims, SequenceFeatures,
                               adam_init, adam_step, bce_loss, copy_params,
                               init_params, init_time_frequencies, load_params,
-                              save_params, time_encode)
+                              param_shapes, save_params, time_encode)
 
 
 def make_feats(rng, S=6, l=3, d_N=2, d_E=1):
@@ -117,6 +118,11 @@ class TestInit:
                 assert np.abs(w).max() <= limit
         assert p["merge_w"].shape == (2 * SMALL.out_dim, 1)
         assert p["fuse1_w"].shape == (15, 15)
+
+    def test_shapes_and_order_are_param_shapes(self):
+        p = init_params(SMALL, seed=3)
+        assert [(k, v.shape) for k, v in p.items()] == list(
+            param_shapes(SMALL).items())
 
     def test_seed_determinism_and_dtype(self):
         a = init_params(SMALL, seed=7, dtype=np.float32)
@@ -492,6 +498,22 @@ class TestSaveLoad:
         save_params(path, params, SMALL, RunConfig().to_dict())
         with pytest.raises(SnapshotError, match="missing, unexpected or misshapen"):
             load_params(path)
+
+    def test_wide_dims_rejected_without_allocating_them(self, tmp_path):
+        # a small file whose dims claim (5*400)^2 float64 fusion weights,
+        # 64 MB: the shapes are checked before anything that size exists
+        wide = dataclasses.replace(SMALL, hidden=400, layers=2)
+        path = tmp_path / "wide.npz"
+        save_params(path, {"merge_b": np.zeros(1)}, wide, RunConfig().to_dict())
+        assert path.stat().st_size < 4096
+        tracemalloc.start()
+        try:
+            with pytest.raises(SnapshotError, match="misshapen"):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
