@@ -54,6 +54,9 @@ class HashTableMemory:
         self.multiplier = multiplier
         self.sentinel = num_nodes
         self.table = np.full((num_nodes + 1, width), self.sentinel, dtype=np.int64)
+        # slot_of for every id, so a write reads its slots instead of
+        # hashing; the sentinel has no entry and cannot be written
+        self._slots = self.slot_of(np.arange(num_nodes))
 
     def slot_of(self, node_id):
         """(q * id) mod M, elementwise on arrays."""
@@ -65,12 +68,14 @@ class HashTableMemory:
     def write(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] into row rows[i] in order of i.
 
-        Where several writes hit the same slot the last one wins.  That is
-        resolved here by keeping the last occurrence of each slot, not left
-        to numpy's unspecified order for duplicate fancy-assignment indices:
-        each write's key packs its flat slot above its position i in b low
-        bits, so one unstable sort orders the keys by slot and then by i,
-        and the last key of each run of equal slots names the winner.
+        A value of num_nodes or more, the sentinel included, raises
+        IndexError.  Where several writes hit the same slot the last one
+        wins.  That is resolved here by keeping the last occurrence of each
+        slot, not left to numpy's unspecified order for duplicate
+        fancy-assignment indices: each write's key packs its flat slot above
+        its position i in b low bits, so one unstable sort orders the keys by
+        slot and then by i, and the last key of each run of equal slots names
+        the winner.
         """
         n = values.size
         if n == 0:
@@ -80,7 +85,7 @@ class HashTableMemory:
             raise ConfigError(
                 f"a table of {self.table.size} slots cannot take {n} writes "
                 "at once: the packed sort keys would overflow int64")
-        lin = rows * self.width + self.slot_of(values)
+        lin = rows * self.width + self._slots[values]
         keys = np.sort((lin << b) | np.arange(n))
         slot = keys >> b
         last = np.append(slot[1:] != slot[:-1], True)

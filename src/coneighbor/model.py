@@ -31,6 +31,17 @@ streaming whole-batch arrays through memory once per elementwise step.
 The forward pass keeps layers as the outer loop, so the dropout draws are
 taken in the same order as one whole-array draw per layer.
 
+Scoring uses encode(..., tape=False), which collapses the last layer and
+never builds its (S, l, 5d) output.  With A_p = [a_p, 1] the layer's
+input at position p and V = [W; b] its centred weight and bias, layer
+norm needs only |A_p V|^2 = |A_p R^T|^2, where R is the triangular factor
+of one float64 QR of V^T: at most k+1 columns wide for a k-wide input,
+and a sum of squares, so nothing cancels.  Mean-pooling is linear, so it
+moves before the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w)
++ out_b.  Training keeps the tape and the full layer: dropout masks each
+of the 5d outputs, so the pooled sum is no longer linear in A_p, and the
+backward pass needs every position's output.
+
 Everything is plain numpy.  Gradients are computed in closed form by
 walking the recorded intermediates backwards; the test suite checks every
 parameter tensor against central finite differences.
@@ -205,17 +216,23 @@ def _centre(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=-1, keepdims=True)
 
 
+def _inv_std(x: np.ndarray, n: int, eps: float = LN_EPS) -> np.ndarray:
+    """1 / sqrt(sum of squares over the last axis / n + eps), as (..., 1)."""
+    inv = np.einsum("...i,...i->...", x, x)[..., None]
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    return inv
+
+
 def _layer_norm_centred(x: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
     """Layer norm, in place, of rows that already have zero mean.
 
     Scales each row over the last axis to unit RMS and returns inv_std,
     shaped (..., 1), for the backward pass.
     """
-    inv = np.einsum("...i,...i->...", x, x)[..., None]
-    inv /= x.shape[-1]
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
+    inv = _inv_std(x, x.shape[-1], eps)
     x *= inv
     return inv
 
@@ -291,10 +308,16 @@ class LinkPredictor:
     # -- forward -------------------------------------------------------
 
     def encode(self, params, feats: SequenceFeatures, training: bool = False,
-               rng: np.random.Generator | None = None):
-        """Sequences -> (S, d_o) node representations plus the tape."""
+               rng: np.random.Generator | None = None, *, tape: bool = True):
+        """Sequences -> (S, d_o) node representations plus the tape.
+
+        With tape False, for scoring only, the tape is None and the last
+        layer is computed in collapsed form (see the module docstring).
+        """
         if training and self.dropout > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
+        if training and not tape:
+            raise ConfigError("a training forward pass must keep its tape")
         te = time_encode(feats.dt, params["time_freq"])
         x = np.concatenate([feats.node, feats.edge, te, feats.co_long,
                             feats.co_short], axis=-1)
@@ -312,10 +335,10 @@ class LinkPredictor:
         # carrying the last layer's inverted-dropout scale
         pool_vec = np.full(l, self._pool_scale(l, drop), dtype)
 
-        tape = GradientTape(feats=feats, x=x)
+        rec = GradientTape(feats=feats, x=x)
         pool = np.empty((S, f), dtype)
         z_in, a_in = None, x
-        for layer, (w, b) in enumerate(weights):
+        for layer, (w, b) in enumerate(weights if tape else weights[:-1]):
             if layer:
                 z_in = a_in = z
             y = np.empty((S, l, f), dtype)
@@ -339,11 +362,34 @@ class LinkPredictor:
                         zb /= 1.0 - self.dropout
                 if layer == last:
                     np.matmul(pool_vec, zb, out=pool[blk])
-            tape.layers.append((z_in, y, inv, mask))
+            rec.layers.append((z_in, y, inv, mask))
 
+        if not tape:
+            a_in = z if last else x
+            return self._collapsed_last_layer(params, a_in, *weights[last],
+                                              dtype), None
         h = pool @ params["out_w"] + params["out_b"]
-        tape.pool, tape.h = pool, h
-        return h, tape
+        rec.pool, rec.h = pool, h
+        return h, rec
+
+    def _collapsed_last_layer(self, params, a_in, w, b, dtype):
+        """(S, d_o) readout of the last layer, without dropout, from its
+        (S, l, k) input a_in; the module docstring derives the form."""
+        S, l, k = a_in.shape
+        V = np.vstack([w, b])
+        R = np.linalg.qr(V.T.astype(np.float64), mode="r").astype(dtype)
+        r_w, r_b = R[:, :k].T, R[:, k]
+        wc = np.empty((S, k + 1), dtype)        # sum_p inv_p * A_p
+        # no temporary here is wider than k + 1
+        for blk in _sequence_blocks(S, l, k + 1, dtype):
+            ab = a_in[blk]
+            u = ab.reshape(-1, k) @ r_w
+            u += r_b
+            # |u|^2 = |y|^2 of the f-wide layer output y
+            c = _inv_std(u, self.dims.fused).reshape(-1, 1, l)
+            np.matmul(c, ab, out=wc[blk, None, :k])
+            wc[blk, k] = c.sum(axis=(1, 2))
+        return wc @ (V @ params["out_w"] / l) + params["out_b"]
 
     def _pool_scale(self, l: int, drop: bool) -> float:
         """1/l of the mean-pool, times the last layer's 1/(1-p) if dropped."""

@@ -87,6 +87,14 @@ class TestHashTableBasics:
         m.write(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         np.testing.assert_array_equal(m.table, before)
 
+    @pytest.mark.parametrize("value", [8, 9])
+    def test_write_rejects_the_sentinel_and_larger_values(self, value):
+        m = HashTableMemory(8, 4, 3)
+        before = m.table.copy()
+        with pytest.raises(IndexError):
+            m.write(np.array([1, 2]), np.array([5, value]))
+        np.testing.assert_array_equal(m.table, before)
+
     def test_write_rejects_keys_that_overflow_int64(self):
         m = HashTableMemory(1, 1, 1)
         # a read-only view of 2^59 slots; 16 writes take 4 key bits: 2^63

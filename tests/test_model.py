@@ -404,6 +404,82 @@ class TestBlockedEncoder:
             np.testing.assert_array_equal(mask, r.random(y.shape) >= 0.3)
 
 
+class TestTapeFreeEncode:
+    """encode(tape=False): the collapsed last layer against the tape path."""
+
+    @staticmethod
+    def setup(rng, dims, S=8, l=5, dtype=np.float64):
+        params = init_params(dims, seed=4, time_span=5.0)
+        for v in params.values():    # non-zero biases reach every term
+            v += rng.normal(scale=0.2, size=v.shape)
+        feats = make_feats(rng, S=S, l=l, d_N=dims.node_dim,
+                           d_E=dims.edge_dim)
+        cast = lambda a: a.astype(dtype)
+        return ({k: cast(v) for k, v in params.items()},
+                SequenceFeatures(*map(cast, dataclasses.astuple(feats))))
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("feat_dim, hidden", [
+        (2, 4),      # k+1 = 15 < 5d = 20
+        (0, 4),      # zero-width node and edge blocks
+        (7, 1),      # k+1 = 25 > 5d = 5: R has 5d rows
+    ])
+    @pytest.mark.parametrize("block_seqs", [3, 10 ** 6])
+    def test_matches_the_tape_path(self, rng, monkeypatch, layers, feat_dim,
+                                   hidden, block_seqs):
+        dims = ModelDims(node_dim=feat_dim, edge_dim=feat_dim, time_dim=6,
+                         hidden=hidden, out_dim=3, layers=layers)
+        k, l = 2 * feat_dim + 6 + 4, 5
+        # 3 float64 sequences per collapsed block: S=8 ends ragged
+        monkeypatch.setattr(model, "BLOCK_BYTES", block_seqs * l * (k + 1) * 8)
+        pred = LinkPredictor(dims, dropout=0.3)
+        params, feats = self.setup(rng, dims, l=l)
+        want, _ = pred.encode(params, feats)
+        h, tape = pred.encode(params, feats, tape=False)
+        assert tape is None
+        np.testing.assert_allclose(h, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_float32_close_to_a_float64_forward(self, layers):
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=8, hidden=6,
+                         out_dim=4, layers=layers)
+        pred = LinkPredictor(dims, dropout=0.1)
+        p64, f64 = self.setup(np.random.default_rng(3), dims, S=20, l=7)
+        p32, f32 = self.setup(np.random.default_rng(3), dims, S=20, l=7,
+                              dtype=np.float32)
+        want, _ = pred.encode(p64, f64)
+        h, _ = pred.encode(p32, f32, tape=False)
+        assert h.dtype == np.float32
+        np.testing.assert_allclose(h, want, rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
+
+    def test_training_needs_the_tape(self, rng):
+        pred = LinkPredictor(SMALL, dropout=0.0)
+        with pytest.raises(ConfigError, match="tape"):
+            pred.encode(init_params(SMALL, 0), make_feats(rng),
+                        training=True, tape=False)
+
+    def test_never_builds_an_s_l_5d_array(self, rng):
+        dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=50,
+                         out_dim=50, layers=1)
+        S, l = 200, 32
+        pred = LinkPredictor(dims, dropout=0.1)
+        params, feats = self.setup(rng, dims, S=S, l=l, dtype=np.float32)
+        one = S * l * dims.fused * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            pred.encode(params, feats, tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pred.encode(params, feats)
+            tape_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape_peak > one      # the tape path does build it
+        assert peak < one
+
+
 class TestDropout:
     def test_requires_rng_in_training(self, rng):
         pred = LinkPredictor(SMALL, dropout=0.2)
