@@ -9,6 +9,7 @@ event being predicted or anything simultaneous with it.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,19 @@ import numpy as np
 from .errors import OrderingError
 
 NO_EDGE = -1   # edge_idx placeholder for the self entry and padding
+ENTRY = np.dtype([("prev", np.int64), ("peer", np.int64),
+                  ("eidx", np.int64), ("t", np.float64)])
+
+
+def _empty_log(cap: int) -> np.ndarray:
+    """cap uninitialised log entries in pages mapped for them alone.
+
+    From malloc, a freed log of several MB raises glibc's mmap threshold,
+    so the next, growing log is served from the heap, and the holes it
+    leaves as it doubles stay resident.  Mapped pages go back to the
+    system when the log is dropped.
+    """
+    return np.frombuffer(mmap.mmap(-1, cap * ENTRY.itemsize), dtype=ENTRY)
 
 
 @dataclass
@@ -56,22 +70,26 @@ class NeighborSequenceBatch:
 class HistoryStore:
     """Append-only interaction log with monotone-timestamp enforcement.
 
-    The log is four parallel arrays, one entry per (node, event) side:
-    the peer, the time, the edge index and ``prev``, the same node's
-    previous entry (-1 at its first).  ``head`` holds each node's newest
+    The log holds one 32-byte record per (node, event) side: ``prev``, the
+    same node's previous entry, then the peer, the edge index and the
+    time.  A walk step that reaches an entry thus brings its other fields
+    into cache with it; ``_prev``, ``_peer``, ``_eidx`` and ``_t`` are
+    strided views of the records.  ``head`` holds each node's newest
     entry, so a node's history is the chain head -> prev -> ... in
-    newest-first order.  Capacity doubles as the log fills.
+    newest-first order.  Entry 0 is the empty entry (prev = 0, peer =
+    sentinel, edge index ``NO_EDGE``, t = -inf) and stands for "no entry":
+    a new node's head and a first entry's prev point at it, and following
+    prev from it stays there.  Capacity doubles as the log fills.
     """
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
         self.sentinel = num_nodes
-        self._size = 0
-        self._peer = np.empty(0, dtype=np.int64)
-        self._t = np.empty(0, dtype=np.float64)
-        self._eidx = np.empty(0, dtype=np.int64)
-        self._prev = np.empty(0, dtype=np.int64)
-        self._head = np.full(num_nodes, -1, dtype=np.int64)
+        self._size = 1
+        self._log = _empty_log(1)
+        self._log[0] = (0, self.sentinel, NO_EDGE, -np.inf)
+        self._field_views()
+        self._head = np.zeros(num_nodes, dtype=np.int64)
 
     def record(self, u: int, v: int, t: float, edge_idx: int) -> None:
         """Append the interaction to both endpoint logs."""
@@ -90,12 +108,14 @@ class HistoryStore:
         n = owner.size
         lo, end = self._size, self._size + n
         self._reserve(end)
-        self._peer[lo:end] = np.stack([dst, src], axis=1).ravel()
-        self._t[lo:end] = np.repeat(np.asarray(t, dtype=np.float64), 2)
-        self._eidx[lo:end] = np.repeat(np.asarray(edge_idx, dtype=np.int64), 2)
+        for side, peer in ((slice(lo, end, 2), dst), (slice(lo + 1, end, 2), src)):
+            self._peer[side] = peer
+            self._t[side] = t
+            self._eidx[side] = edge_idx
 
         # each entry's predecessor is the node's entry before it in the
-        # batch, else the node's stored head
+        # batch, else the node's stored head (the empty entry, at -inf, if
+        # it has none)
         order = np.argsort(owner, kind="stable")
         o_owner, o_pos = owner[order], lo + order
         first = np.ones(n, dtype=bool)
@@ -105,7 +125,7 @@ class HistoryStore:
         prev = np.empty(n, dtype=np.int64)
         prev[1:] = o_pos[:-1]
         prev[first] = self._head[o_owner[first]]
-        bad = np.flatnonzero((prev >= 0) & (self._t[o_pos] < self._t[prev]))
+        bad = np.flatnonzero(self._t[o_pos] < self._t[prev])
         if bad.size:
             k = bad[0]
             raise OrderingError(
@@ -117,15 +137,17 @@ class HistoryStore:
         self._size = end
 
     def _reserve(self, size: int) -> None:
-        cap = self._t.shape[0]
+        cap = self._log.shape[0]
         if size <= cap:
             return
-        cap = max(size, 2 * cap)
-        for name in ("_peer", "_t", "_eidx", "_prev"):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[:self._size] = old[:self._size]
-            setattr(self, name, new)
+        log = _empty_log(max(size, 2 * cap))
+        log[:self._size] = self._log[:self._size]
+        self._log = log
+        self._field_views()
+
+    def _field_views(self) -> None:
+        self._prev, self._peer, self._eidx, self._t = (
+            self._log[name] for name in ENTRY.names)
 
     def recent_sequence(self, anchor: int, t: float, length: int) -> NeighborSequence:
         return self.recent_batch([anchor], [t], length).row(0)
@@ -135,37 +157,37 @@ class HistoryStore:
 
         Position 0 of each window is the anchor itself with dt 0; the rest
         are its interactions strictly before the query time, newest first.
+        Every step works on all anchors: one prev gather per window
+        position builds a (B, length) matrix of entry indices, 0 where the
+        window is padded, and each field is one gather from it.
         """
         anchors = np.asarray(anchors, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        B = anchors.shape[0]
-        peers = np.full((B, length), self.sentinel, dtype=np.int64)
-        dt = np.zeros((B, length), dtype=np.float64)
-        eidx = np.full((B, length), NO_EDGE, dtype=np.int64)
-        valid = np.zeros((B, length), dtype=bool)
-        peers[:, 0] = anchors
-        valid[:, 0] = True
+        prev = self._prev
         cur = self._head[anchors]
         # skip entries at or after the query time, ties included; a node's
-        # times never decrease, so every entry behind them is strictly earlier
-        late = np.flatnonzero(cur >= 0)
-        while late.size:
-            late = late[self._t[cur[late]] >= ts[late]]
-            cur[late] = self._prev[cur[late]]
-            late = late[cur[late] >= 0]
-        live = np.flatnonzero(cur >= 0)
+        # times never decrease, so every entry behind them is strictly earlier.
+        # The empty entry ties only a query at -inf, and the walk ends there.
+        late = self._t[cur] >= ts
+        while np.count_nonzero(late):
+            cur = np.where(late, prev[cur], cur)
+            late = (self._t[cur] >= ts) & (cur != 0)
+        walk = np.zeros((anchors.shape[0], length), dtype=np.int64)
         for k in range(1, length):
-            if not live.size:
+            if not np.count_nonzero(cur):
                 break
-            e = cur[live]
-            peers[live, k] = self._peer[e]
-            dt[live, k] = ts[live] - self._t[e]
-            eidx[live, k] = self._eidx[e]
-            valid[live, k] = True
-            cur[live] = self._prev[e]
-            live = live[cur[live] >= 0]
+            walk[:, k] = cur
+            cur = prev[cur]
+        # the empty entry carries the padding's peer and edge index
+        peers = self._peer[walk]
+        peers[:, 0] = anchors
+        eidx = self._eidx[walk]
+        valid = walk != 0
+        dt = np.zeros(walk.shape, dtype=np.float64)
+        np.subtract(ts[:, None], self._t[walk], out=dt, where=valid)
+        valid[:, 0] = True
         return NeighborSequenceBatch(anchors, ts, peers, dt, eidx, valid)
 
     def reset(self) -> None:
-        self._size = 0
-        self._head.fill(-1)
+        self._size = 1
+        self._head.fill(0)

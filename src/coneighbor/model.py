@@ -207,7 +207,8 @@ def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     out = np.empty_like(args)
     out[..., 0::2] = np.cos(args[..., 0::2])
     out[..., 1::2] = np.sin(args[..., 1::2])
-    out *= np.sqrt(1.0 / freqs.shape[0])
+    # a scale of out's own dtype keeps a float32 product in float32
+    out *= out.dtype.type(np.sqrt(1.0 / freqs.shape[0]))
     return out
 
 

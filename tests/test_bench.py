@@ -1,6 +1,7 @@
 import pytest
 
-from coneighbor.bench import _fit_axis, format_report, run_bench
+from coneighbor.bench import (DEFAULT_WIDTHS, WIDTH_FIT_POINTS, _fit_axis,
+                              format_report, run_bench)
 from coneighbor.errors import ConfigError
 
 
@@ -21,6 +22,22 @@ class TestFitAxis:
                        [0.010 + 8e-5 * 8, 0.010 + 8e-5 * 16,
                         0.010 + 8e-5 * 32])
         assert 1.0 < ax.doubling_ratio < 2.0
+
+    def test_quadratic_caught_only_by_top_fit(self):
+        # a line through the whole width grid flattens M^2 below the 2.5
+        # bound; a line through its largest widths does not
+        secs = [m * m * 1e-6 for m in DEFAULT_WIDTHS]
+        whole = _fit_axis("hashtable_size", DEFAULT_WIDTHS, secs)
+        top = _fit_axis("hashtable_size", DEFAULT_WIDTHS, secs,
+                        top=WIDTH_FIT_POINTS)
+        assert whole.doubling_ratio < 2.5 < top.doubling_ratio
+        assert top.seconds == secs          # every timing is reported
+
+    def test_top_fit_of_linear_times_doubles(self):
+        secs = [0.002 + m * 1e-5 for m in DEFAULT_WIDTHS]
+        ax = _fit_axis("hashtable_size", DEFAULT_WIDTHS, secs, top=3)
+        assert ax.slope == pytest.approx(1e-5)
+        assert ax.intercept == pytest.approx(0.002)
 
     def test_degenerate_fit_rejected(self):
         # fitted line crosses zero at the half-range evaluation point

@@ -103,6 +103,118 @@ def test_record_batch_rejects_decrease_within_batch():
     assert [log_entries(h, n) for n in range(4)] == [1, 1, 0, 0]
 
 
+def record_all(h, events):
+    h.record_batch([e[0] for e in events], [e[1] for e in events],
+                   [e[2] for e in events], range(len(events)))
+
+
+def oracle_window(events, anchor, query_t, length):
+    """(peer, t, idx) of anchor's newest length-1 entries before query_t."""
+    log = []
+    for i, (u, v, t) in enumerate(events):
+        if u == anchor:
+            log.append((v, t, i))
+        if v == anchor:
+            log.append((u, t, i))
+    return [e for e in reversed(log) if e[1] < query_t][:length - 1]
+
+
+def assert_rows_match_oracle(batch, events, sentinel):
+    for i in range(len(batch)):
+        row = batch.row(i)
+        want = oracle_window(events, row.anchor, row.t, len(row))
+        n = 1 + len(want)
+        assert row.peers[0] == row.anchor and row.valid[0]
+        assert row.dt[0] == 0.0 and row.eidx[0] == NO_EDGE
+        assert [int(p) for p in row.peers[1:n]] == [e[0] for e in want]
+        assert list(row.dt[1:n]) == [row.t - e[1] for e in want]
+        assert [int(e) for e in row.eidx[1:n]] == [e[2] for e in want]
+        assert row.valid[:n].all() and not row.valid[n:].any()
+        assert (row.peers[n:] == sentinel).all()
+        assert (row.eidx[n:] == NO_EDGE).all() and (row.dt[n:] == 0).all()
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_histories_shorter_than_window(length):
+    """Every walk reaches a history's end before the window's: the walk
+    stops early, and everything after it is padding."""
+    rng = np.random.default_rng(length)
+    n, events, logged = 8, [], np.zeros(8, dtype=int)
+    for t in range(60):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        logged[u] += 1
+        logged[v] += 1
+        if logged.max() > length - 2:    # a self-loop logs twice
+            logged[u] -= 1
+            logged[v] -= 1
+            continue
+        events.append((u, v, float(t // 3)))
+    h = HistoryStore(n)
+    record_all(h, events)
+    anchors = np.tile(np.arange(n), 3)
+    last = events[-1][2] if events else 0.0
+    times = np.repeat([last + 1.0, last, last / 2], n)   # ties included
+    batch = h.recent_batch(anchors, times, length)
+    if length > 1:
+        assert not batch.valid[:, -1].any()
+    assert_rows_match_oracle(batch, events, n)
+
+
+def test_many_ties_at_query_time():
+    """A run of entries at the query time is skipped, whatever its length,
+    and anchors without ties keep their windows."""
+    events = [(0, 1, 1.0), (0, 2, 2.0)] + [(0, 3, 5.0)] * 12 + [(1, 2, 5.0)]
+    events += [(3, 2, 5.0)] * 5
+    h = HistoryStore(5)
+    record_all(h, events)
+    anchors = [0, 1, 2, 3, 4, 0]
+    batch = h.recent_batch(anchors, [5.0, 5.0, 5.0, 5.0, 5.0, 6.0], 6)
+    np.testing.assert_array_equal(batch.peers[0], [0, 2, 1, 5, 5, 5])
+    np.testing.assert_array_equal(batch.peers[3], [3, 5, 5, 5, 5, 5])
+    np.testing.assert_array_equal(batch.peers[5], [0, 3, 3, 3, 3, 3])
+    assert_rows_match_oracle(batch, events, 5)
+
+
+def test_query_before_every_entry_is_anchor_alone():
+    h = HistoryStore(3)
+    record_all(h, [(0, 1, 2.0), (0, 2, 3.0)])
+    batch = h.recent_batch([0, 1, 0], [2.0, 1.0, -np.inf], 4)
+    np.testing.assert_array_equal(batch.valid, [[True] + [False] * 3] * 3)
+    np.testing.assert_array_equal(batch.peers[:, 1:], 3)
+
+
+def test_reset_leaves_anchor_alone():
+    h = HistoryStore(4)
+    record_all(h, [(0, 1, 1.0), (1, 2, 2.0), (0, 0, 3.0)])
+    h.reset()
+    seq = h.recent_batch([0, 1, 2, 3], [9.0] * 4, 5)
+    np.testing.assert_array_equal(seq.peers[:, 0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(seq.peers[:, 1:], 4)
+    np.testing.assert_array_equal(seq.eidx, NO_EDGE)
+    np.testing.assert_array_equal(seq.dt, 0.0)
+    assert seq.valid.sum() == 4
+    # and the log takes new entries from the start again
+    record_all(h, [(2, 3, 1.0)])
+    assert [log_entries(h, n) for n in range(4)] == [0, 0, 1, 1]
+
+
+def test_logged_entries_equal_records(rng):
+    """Each record adds one entry per side; no entry of the log's own
+    (the empty entry) ever shows in a window."""
+    n = 7
+    src = rng.integers(0, n, 50)
+    dst = rng.integers(0, n, 50)
+    h = HistoryStore(n)
+    for lo in range(0, 50, 9):
+        h.record_batch(src[lo:lo + 9], dst[lo:lo + 9],
+                       np.arange(lo, min(lo + 9, 50), dtype=float),
+                       np.arange(lo, min(lo + 9, 50)))
+    want = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+    assert [log_entries(h, v, 128) for v in range(n)] == want.tolist()
+    window = h.recent_batch(np.arange(n), np.full(n, 1e9), 128)
+    assert (window.eidx[:, 1:][window.valid[:, 1:]] >= 0).all()
+
+
 # few distinct timestamps, so ties cross chunk boundaries and the query time
 events_strategy = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5),
