@@ -5,7 +5,8 @@ so any run can be reproduced from the output directory alone.  ``train``
 and ``sweep`` take one flag per ``RunConfig`` field, named after the field
 with dashes (``seq_len`` is ``--seq-len``) and defaulting to its default.
 ``eval`` takes its configuration from the checkpoint, which stores the
-training run's config.  Exit codes:
+training run's config, and refuses a stream other than the one the
+checkpoint was trained on (a data error).  Exit codes:
 0 success, 1 usage or configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -90,10 +91,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _describe(stream: dict) -> str:
+    return (f"{stream.get('num_nodes')} nodes, {stream.get('num_events')} "
+            f"events, sha256 {str(stream.get('sha256'))[:12]}")
+
+
 def cmd_eval(args) -> int:
-    params, dims, stored = load_params(args.checkpoint)
+    params, dims, stored, stream = load_params(args.checkpoint)
     cfg = RunConfig.from_dict(stored)
     g = load_events(args.data, _layout(args))
+    got = g.fingerprint()
+    if got != stream:
+        raise DataError(f"checkpoint was trained on another stream: "
+                        f"{_describe(stream)}, not {_describe(got)}")
     want = harness.model_dims(g, cfg)
     if dims != want:
         raise ConfigError(f"checkpoint dims {dims} do not match the data's {want}")

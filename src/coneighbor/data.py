@@ -9,6 +9,7 @@ the padding sentinel throughout the package and never appears as an endpoint.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 from array import array
 from dataclasses import dataclass, field, replace
@@ -83,6 +84,15 @@ class TemporalGraph:
         if lo < 0 or hi >= self.num_nodes:
             raise DataError("endpoint ids outside [0, num_nodes)")
         return self
+
+    def fingerprint(self) -> dict:
+        """Node count, event count and a sha256 of src, dst and t: what a
+        checkpoint records of the stream its state is replayed from."""
+        h = hashlib.sha256()
+        for a, dtype in ((self.src, "<i8"), (self.dst, "<i8"), (self.t, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        return {"num_nodes": int(self.num_nodes),
+                "num_events": int(self.num_events), "sha256": h.hexdigest()}
 
 
 @dataclass(frozen=True)

@@ -318,7 +318,8 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
 
     final = best_params if best_params is not None else params
     if checkpoint_path is not None:
-        save_params(checkpoint_path, final, dims, cfg.to_dict())
+        save_params(checkpoint_path, final, dims, cfg.to_dict(),
+                    g.fingerprint())
     # state is the post-val replay of the last epoch; replays are
     # parameter-independent, so it matches the best epoch's state exactly
     tm = evaluate(g, split, tdm, hist, predictor, final, cfg, TEST,

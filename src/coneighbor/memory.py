@@ -6,6 +6,20 @@ simply overwrites it, which is the forgetting mechanism that keeps the
 sketch bounded.  Counting equal slot values between two rows approximates
 the common-neighbor count of the two nodes in a single vectorized pass.
 
+Because q is coprime to M, a slot s already fixes v mod M, so a slot only
+stores the quotient v // M, and two ids in one slot are equal exactly when
+their quotients are.  The store uses the narrowest unsigned dtype that
+holds every quotient plus an empty marker, the dtype's largest value: one
+byte per slot while (num_nodes - 1) // M < 255.  ``HashTableMemory.table``
+decodes the store into a read-only int64 copy of ids, with the sentinel id
+num_nodes where a slot is empty, for audits and tests.
+
+Counts run over blocks of rows of about COUNT_BLOCK_BYTES of compact
+slots, so each block's comparison stays in cache: the block's peer rows
+are gathered once, position-major, compared against the anchor rows, and
+the matches are counted by popcount over 8-byte words of the comparison
+(a plain sum where M is not a multiple of 8).
+
 Two matching modes exist.  ``paper`` counts every position where the rows
 agree, including empty==empty, so a node compared with itself always scores
 the full width M.  ``strict`` counts only agreeing non-empty slots, which
@@ -29,9 +43,40 @@ from .errors import ConfigError, ProtocolError
 from .history import NeighborSequence, NeighborSequenceBatch
 
 
+# compact slots per counting block: a block's comparison temporaries then
+# stay in a core's L2 cache
+COUNT_BLOCK_BYTES = 64 * 1024
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MATCHINGS:
         raise ConfigError(f"unknown matching mode {mode!r}")
+
+
+def _store_dtype(top: int) -> np.dtype:
+    """Narrowest unsigned dtype holding 0..top below its largest value."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if top < np.iinfo(t).max)
+
+
+def _count_true(eq: np.ndarray, dtype) -> np.ndarray:
+    """Trues over the last axis of a C-contiguous bool array, as dtype.
+
+    Popcount gives each 8-byte word's count (at most 8).  Whole groups of 8
+    such counts are summed by one multiply of their bytes read as a word,
+    and the few columns left per row are added as columns: a numpy
+    reduction over a short last axis costs more per row than that.
+    """
+    if eq.shape[-1] % 8:
+        return eq.sum(axis=-1, dtype=dtype)
+    pc = np.bitwise_count(eq.view(np.uint64))
+    if pc.shape[-1] % 8 == 0:
+        pc = pc.view(np.uint64) * np.uint64(0x0101010101010101)
+        pc >>= np.uint64(56)                 # sum of the 8 counts, <= 64
+    out = pc[..., 0].astype(dtype)
+    for i in range(1, pc.shape[-1]):
+        out += pc[..., i]
+    return out
 
 
 class HashTableMemory:
@@ -39,7 +84,8 @@ class HashTableMemory:
 
     Row index ``sentinel`` (== num_nodes) backs padded sequence positions:
     gathers through it are valid and see an all-empty row, and inserts are
-    never allowed to target it.
+    never allowed to target it.  ``store`` holds each slot's quotient
+    id // M, or ``empty``; ``table`` decodes it to ids.
     """
 
     def __init__(self, num_nodes: int, width: int, multiplier: int):
@@ -53,17 +99,37 @@ class HashTableMemory:
         self.width = width
         self.multiplier = multiplier
         self.sentinel = num_nodes
-        self.table = np.full((num_nodes + 1, width), self.sentinel, dtype=np.int64)
-        # slot_of for every id, so a write reads its slots instead of
-        # hashing; the sentinel has no entry and cannot be written
-        self._slots = self.slot_of(np.arange(num_nodes))
+        dtype = _store_dtype((num_nodes - 1) // width)
+        self.empty = np.iinfo(dtype).max
+        self.store = np.full((num_nodes + 1, width), self.empty, dtype=dtype)
+        # counts reach M, past uint16 only on very wide tables
+        self._count_dtype = np.promote_types(np.uint16,
+                                             np.min_scalar_type(width))
+        # slot_of and the stored quotient for every id, so a write reads
+        # them instead of hashing; the sentinel has no entry and cannot be
+        # written
+        ids = np.arange(num_nodes)
+        self._slots = self.slot_of(ids)
+        self._quot = (ids // width).astype(dtype)
+        # id mod M of the ids that hash to slot s: s / q mod M
+        self._resid = np.arange(width) * pow(multiplier, -1, width) % width
+
+    @property
+    def table(self) -> np.ndarray:
+        """The stored ids as a read-only int64 array; empty slots read as
+        the sentinel."""
+        out = np.multiply(self.store, self.width, dtype=np.int64)
+        out += self._resid
+        np.copyto(out, self.sentinel, where=self.store == self.empty)
+        out.flags.writeable = False
+        return out
 
     def slot_of(self, node_id):
         """(q * id) mod M, elementwise on arrays."""
         return (np.asarray(node_id, dtype=np.int64) * self.multiplier) % self.width
 
     def insert(self, owner: int, neighbor: int) -> None:
-        self.table[owner, self.slot_of(neighbor)] = neighbor
+        self.store[owner, self.slot_of(neighbor)] = self._quot[neighbor]
 
     def write(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] into row rows[i] in order of i.
@@ -81,40 +147,53 @@ class HashTableMemory:
         if n == 0:
             return
         b = (n - 1).bit_length()
-        if self.table.size << b > np.iinfo(np.int64).max:
+        if self.store.size << b > np.iinfo(np.int64).max:
             raise ConfigError(
-                f"a table of {self.table.size} slots cannot take {n} writes "
+                f"a table of {self.store.size} slots cannot take {n} writes "
                 "at once: the packed sort keys would overflow int64")
         lin = rows * self.width + self._slots[values]
         keys = np.sort((lin << b) | np.arange(n))
         slot = keys >> b
         last = np.append(slot[1:] != slot[:-1], True)
-        self.table.reshape(-1)[slot[last]] = values[keys[last] & ((1 << b) - 1)]
+        self.store.reshape(-1)[slot[last]] = self._quot[
+            values[keys[last] & ((1 << b) - 1)]]
 
     def co_count(self, a: int, b: int, mode: str = MATCH_PAPER) -> int:
         _check_mode(mode)
-        eq = self.table[a] == self.table[b]
+        eq = self.store[a] == self.store[b]
         if mode == MATCH_STRICT:
-            eq &= self.table[a] != self.sentinel
+            eq &= self.store[a] != self.empty
         return int(eq.sum())
 
-    def count_gathered(self, anchors: np.ndarray, rows_p: np.ndarray,
-                       mode: str = MATCH_PAPER) -> np.ndarray:
-        """Counts between anchor rows and per-position peer rows.
+    def count_windows(self, anchors: np.ndarray, peers: np.ndarray,
+                      mode: str = MATCH_PAPER) -> np.ndarray:
+        """Counts of each window position's peer against the row's anchors.
 
-        anchors: (K,) ids; rows_p: (K, l, M), the peer rows already
-        gathered as table[peers] (the sentinel row reads as empty), so one
-        gather serves counts against several anchors.  Returns (K, l) int64
-        counts.
+        anchors: (K, n) ids; peers: (K, l) ids, where the sentinel reads as
+        an all-empty row.  Returns (K, l, n) unsigned counts, a view of an
+        (l, n, K) array.
+
+        Rows run in blocks of about COUNT_BLOCK_BYTES of compact peer
+        slots, and no array larger than one block's comparison is built.
+        A block is gathered position-major, (l, rows, M), so each anchor
+        row broadcasts along the outer axis and each comparison is one
+        long contiguous loop per position and anchor.
         """
-        rows_a = self.table[anchors][:, None, :]     # (K, 1, M)
-        eq = rows_p == rows_a
-        if mode == MATCH_STRICT:
-            eq &= rows_a != self.sentinel
-        return eq.sum(axis=2, dtype=np.int64)
+        K, l = peers.shape
+        c = np.empty((l, anchors.shape[1], K), self._count_dtype)
+        step = max(1, COUNT_BLOCK_BYTES // max(1, l * self.store[0].nbytes))
+        for lo in range(0, K, step):
+            blk = slice(lo, lo + step)
+            rows_p = np.take(self.store, peers[blk].T, axis=0)[:, None]
+            rows_a = np.take(self.store, anchors[blk].T, axis=0)
+            eq = rows_p == rows_a                    # (l, n, rows, M)
+            if mode == MATCH_STRICT:
+                eq &= rows_a != self.empty
+            c[..., blk] = _count_true(eq, self._count_dtype)
+        return c.transpose(2, 0, 1)
 
     def reset(self) -> None:
-        self.table.fill(self.sentinel)
+        self.store.fill(self.empty)
 
 
 def _valid_nonself_peers(seq: NeighborSequence) -> np.ndarray:
@@ -168,25 +247,25 @@ class TemporalDiverseMemory:
                         ) -> tuple[np.ndarray, np.ndarray | None]:
         """Structure features for a stack of sequences.
 
-        Row k's peers p_1..p_l are gathered once per table and counted
-        against anchor_own[k] and against anchor_other[k], which is one id
-        or, as a (K, m) array, m ids.  Per position that gives n = 1 + m
-        counts: to anchor_own, then to each other anchor.  Padding
+        Row k's peers p_1..p_l are gathered once per table, a block of rows
+        at a time, and counted against anchor_own[k] and against
+        anchor_other[k], which is one id or, as a (K, m) array, m ids.  Per
+        position that gives n = 1 + m counts: to anchor_own, then to each
+        other anchor.  Padding
         positions (valid False) are overridden to the no-information value:
         full width under paper matching, zero under strict.
 
-        Returns (long_counts, short_counts), each (K, l, n) int64; with
-        short False the short table is not read and short_counts is None.
+        Returns (long_counts, short_counts), each (K, l, n) unsigned
+        (uint16 up to a width of 65535); with short False the short table
+        is not read and short_counts is None.
         """
         _check_mode(mode)
         anchors = np.column_stack([anchor_own, anchor_other]).astype(np.int64)
+        pad = ~np.asarray(valid)[..., None]
         out = []
         for mem in (self.long, self.short) if short else (self.long,):
-            rows_p = mem.table[peers]                # (K, l, M), gathered once
-            c = np.empty(peers.shape + anchors.shape[1:], dtype=np.int64)
-            for j in range(anchors.shape[1]):
-                c[..., j] = mem.count_gathered(anchors[:, j], rows_p, mode)
-            c[~valid] = mem.width if mode == MATCH_PAPER else 0
+            c = mem.count_windows(anchors, peers, mode)
+            np.copyto(c, mem.width if mode == MATCH_PAPER else 0, where=pad)
             out.append(c)
         return out[0], out[1] if short else None
 
@@ -250,8 +329,8 @@ class TemporalDiverseMemory:
 class CoNeighborFeature:
     """Per-position (count_to_anchor, count_to_other) pairs, both horizons."""
 
-    long: np.ndarray    # (l_s, 2) int64
-    short: np.ndarray   # (l_s, 2) int64
+    long: np.ndarray    # (l_s, 2) unsigned counts
+    short: np.ndarray   # (l_s, 2)
     valid: np.ndarray   # (l_s,) bool; False where counts are padding values
 
 
@@ -304,14 +383,16 @@ def slot_injective(mem: HashTableMemory, ids) -> bool:
 
 
 def check_slot_consistency(mem: HashTableMemory) -> None:
-    """Audit: every stored id sits in its own hash slot; pad row untouched."""
-    table = mem.table
+    """Audit: every stored id sits in its own hash slot; pad row untouched.
+
+    Whole-table masks, not index lists of the filled slots: on a large
+    table the audit then needs about three table-sized temporaries.
+    """
+    table = mem.table                   # decoded once
     filled = table != mem.sentinel
-    rows, slots = np.nonzero(filled)
-    vals = table[rows, slots]
-    if np.any(vals < 0) or np.any(vals >= mem.num_nodes):
+    if np.any(filled & ((table < 0) | (table >= mem.num_nodes))):
         raise AssertionError("stored value outside the valid id range")
-    if not np.array_equal(mem.slot_of(vals), slots):
+    if np.any(filled & (mem.slot_of(table) != np.arange(mem.width))):
         raise AssertionError("stored value found outside its hash slot")
     if np.any(filled[mem.num_nodes]):
         raise AssertionError("padding row was written")

@@ -42,6 +42,13 @@ moves before the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w)
 of the 5d outputs, so the pooled sum is no longer linear in A_p, and the
 backward pass needs every position's output.
 
+Scoring never builds the whole (S, l, k) raw input either: each block's
+time encoding and concatenation are made inside the block loop that
+consumes them (the collapsed last layer's, or layer 0's when there are
+more layers), so they stay in cache, and no whole-batch input is
+allocated, filled and freed on every scored batch.  Only the training
+tape keeps the whole input, for the backward pass.
+
 Everything is plain numpy.  Gradients are computed in closed form by
 walking the recorded intermediates backwards; the test suite checks every
 parameter tensor against central finite differences.
@@ -57,9 +64,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SnapshotError
 
-PARAMS_VERSION = 2
+PARAMS_VERSION = 3
 # checkpoint entries that are not parameters
-_META = ("__version__", "__dims__", "__config__")
+_META = ("__version__", "__dims__", "__config__", "__stream__")
 CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
@@ -159,16 +166,20 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def save_params(path, params: dict[str, np.ndarray], dims: ModelDims,
-                config: dict) -> None:
-    """Write the parameters with the dims and the run config that made them."""
+                config: dict, stream: dict) -> None:
+    """Write the parameters with the dims and the run config that made them,
+    and the fingerprint of the stream they were trained on
+    (``TemporalGraph.fingerprint``)."""
     np.savez(path, __version__=PARAMS_VERSION,
              __dims__=np.array(astuple(dims)),
              __config__=np.array(json.dumps(config, sort_keys=True)),
+             __stream__=np.array(json.dumps(stream, sort_keys=True)),
              **params)
 
 
-def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
-    """Parameters, dims and run config of a checkpoint from ``save_params``.
+def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict, dict]:
+    """Parameters, dims, run config and stream fingerprint of a checkpoint
+    from ``save_params``.
 
     A missing file raises OSError; any other file that is not a checkpoint
     of this version raises SnapshotError, and so does one whose parameter
@@ -181,6 +192,10 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
                 raise SnapshotError(f"unsupported checkpoint version {version}")
             dims = ModelDims(*(int(x) for x in z["__dims__"]))
             config = json.loads(str(z["__config__"]))
+            stream = json.loads(str(z["__stream__"]))
+            if not isinstance(stream, dict):
+                raise SnapshotError(f"checkpoint {path}: __stream__ is not "
+                                    "a stream fingerprint")
             params = {k: z[k] for k in z.files if k not in _META}
         want = param_shapes(dims)
     except SnapshotError:
@@ -193,7 +208,7 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict]:
     if bad:
         raise SnapshotError(f"checkpoint {path}: parameters {bad} missing, "
                             f"unexpected or misshapen for {dims}")
-    return params, dims, config
+    return params, dims, config, stream
 
 
 def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -319,13 +334,12 @@ class LinkPredictor:
             raise ConfigError("training forward with dropout needs an rng")
         if training and not tape:
             raise ConfigError("a training forward pass must keep its tape")
-        te = time_encode(feats.dt, params["time_freq"])
-        x = np.concatenate([feats.node, feats.edge, te, feats.co_long,
-                            feats.co_short], axis=-1)
         weights = self._centred_weights(params)
         S, l = feats.dt.shape
         f, last = self.dims.fused, self.dims.layers - 1
-        dtype = np.result_type(x, weights[0][0])
+        dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
+                               feats.co_short, params["time_freq"],
+                               weights[0][0])
         blocks = _sequence_blocks(S, l, f, dtype)
         drop = training and self.dropout > 0.0
         if drop:
@@ -336,6 +350,8 @@ class LinkPredictor:
         # carrying the last layer's inverted-dropout scale
         pool_vec = np.full(l, self._pool_scale(l, drop), dtype)
 
+        # without a tape the raw inputs x are built a block at a time
+        x = self._inputs(params, feats) if tape else None
         rec = GradientTape(feats=feats, x=x)
         pool = np.empty((S, f), dtype)
         z_in, a_in = None, x
@@ -348,7 +364,8 @@ class LinkPredictor:
             z = np.empty_like(y) if drop and layer < last else y
             for blk in blocks:
                 yb = y[blk]
-                np.matmul(a_in[blk].reshape(-1, a_in.shape[-1]), w,
+                ab = self._block_input(params, feats, a_in, blk)
+                np.matmul(ab.reshape(-1, ab.shape[-1]), w,
                           out=yb.reshape(-1, f))
                 yb += b
                 inv[blk] = _layer_norm_centred(yb)
@@ -366,24 +383,39 @@ class LinkPredictor:
             rec.layers.append((z_in, y, inv, mask))
 
         if not tape:
-            a_in = z if last else x
-            return self._collapsed_last_layer(params, a_in, *weights[last],
-                                              dtype), None
+            a_in = z if last else None
+            return self._collapsed_last_layer(params, feats, a_in,
+                                              *weights[last], dtype), None
         h = pool @ params["out_w"] + params["out_b"]
         rec.pool, rec.h = pool, h
         return h, rec
 
-    def _collapsed_last_layer(self, params, a_in, w, b, dtype):
+    def _inputs(self, params, feats: SequenceFeatures,
+                blk: slice = slice(None)) -> np.ndarray:
+        """Raw block inputs of the sequences blk, concatenated: (n, l, k)."""
+        te = time_encode(feats.dt[blk], params["time_freq"])
+        return np.concatenate([feats.node[blk], feats.edge[blk], te,
+                               feats.co_long[blk], feats.co_short[blk]],
+                              axis=-1)
+
+    def _block_input(self, params, feats, a_in, blk):
+        """Rows blk of a layer's input a_in; None stands for the raw
+        inputs, which are then built for those rows only."""
+        return self._inputs(params, feats, blk) if a_in is None else a_in[blk]
+
+    def _collapsed_last_layer(self, params, feats, a_in, w, b, dtype):
         """(S, d_o) readout of the last layer, without dropout, from its
-        (S, l, k) input a_in; the module docstring derives the form."""
-        S, l, k = a_in.shape
+        (S, l, k) input a_in (None: the raw inputs, built per block); the
+        module docstring derives the form."""
+        S, l = feats.dt.shape
+        k = w.shape[0]
         V = np.vstack([w, b])
         R = np.linalg.qr(V.T.astype(np.float64), mode="r").astype(dtype)
         r_w, r_b = R[:, :k].T, R[:, k]
         wc = np.empty((S, k + 1), dtype)        # sum_p inv_p * A_p
         # no temporary here is wider than k + 1
         for blk in _sequence_blocks(S, l, k + 1, dtype):
-            ab = a_in[blk]
+            ab = self._block_input(params, feats, a_in, blk)
             u = ab.reshape(-1, k) @ r_w
             u += r_b
             # |u|^2 = |y|^2 of the f-wide layer output y

@@ -225,7 +225,9 @@ def test_07_encoding_cost_scales_linearly():
     ok = 1.5 <= r_seq <= 2.5 and 1.5 <= r_wid <= 2.5
     _gate("linear-scaling", ok,
           f"doubling ratios: sequence {r_seq:.2f}, width {r_wid:.2f} "
-          f"(accept 1.5..2.5)")
+          f"(accept 1.5..2.5); not gated: sequence top-3 fit "
+          f"{report.seq_top_ratio:.2f}, width fixed part "
+          f"{report.fixed_ns_per_position():.1f} ns/position")
 
 
 # -- 8: metrics agree with an independent quadratic implementation ------

@@ -65,6 +65,20 @@ class TestRunBench:
         assert d["sequence_length"]["values"] == [4, 8, 16]
         assert len(d["hashtable_size"]["seconds"]) == 3
 
+    def test_reports_ungated_diagnostics(self, report):
+        d = report.to_dict()
+        # three lengths: the top-three fit is the whole-grid fit
+        seq = d["sequence_length"]
+        assert seq["top_fit_doubling_ratio"] == pytest.approx(
+            seq["doubling_ratio"])
+        wid = d["hashtable_size"]
+        assert wid["positions"] == 2 * 50 * 20     # two sides of 50 pairs
+        assert wid["ns_per_position"] == pytest.approx(
+            [s / 2000 * 1e9 for s in wid["seconds"]])
+        text = format_report(report)
+        assert "largest lengths (not gated)" in text
+        assert text.count("ns/position") == 4    # three widths, fixed part
+
     def test_format_mentions_both_axes(self, report):
         text = format_report(report)
         assert "sequence_length" in text

@@ -239,6 +239,27 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", ["fewer_events", "other_times"])
+    def test_other_stream_is_data_error(self, csv_path, trained, tmp_path,
+                                        capsys, change):
+        # same node count and feature widths: only the fingerprint differs
+        lines = open(csv_path).read().splitlines()
+        if change == "fewer_events":
+            lines = lines[:-1]
+        else:
+            lines = [lines[0]] + [",".join(row[:2] + [str(2 * float(row[2]))]
+                                           + row[3:])
+                                  for row in (r.split(",") for r in lines[1:])]
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(lines) + "\n")
+        code = run_cli("eval", "--data", str(other), "--out",
+                       str(tmp_path / "eval"),
+                       "--checkpoint", str(trained / "checkpoint.npz"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint was trained on another "
+                              "stream") and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz",
                                       "missing_param", "bad_shape"])
     def test_bad_checkpoint_is_data_error(self, csv_path, trained, tmp_path,

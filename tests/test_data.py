@@ -272,3 +272,22 @@ def test_negative_node_ids_rejected():
 def test_non_finite_timestamps_rejected(bad):
     with pytest.raises(DataError):
         from_arrays([0, 1, 2], [1, 2, 0], [1.0, bad, 2.0])
+
+
+class TestFingerprint:
+    def base(self):
+        return dict(src=[0, 1, 2], dst=[1, 2, 0], t=[1.0, 2.0, 3.0])
+
+    def test_same_stream_same_fingerprint(self):
+        a = from_arrays(**self.base()).fingerprint()
+        b = from_arrays(**self.base(), edge_feats=np.ones((3, 2))).fingerprint()
+        assert a == b       # features are not part of it
+        assert (a["num_nodes"], a["num_events"]) == (3, 3)
+
+    @pytest.mark.parametrize("key,value", [("src", [0, 1, 1]),
+                                           ("dst", [1, 2, 1]),
+                                           ("t", [1.0, 2.0, 3.5])])
+    def test_any_endpoint_or_time_changes_it(self, key, value):
+        changed = dict(self.base(), **{key: value})
+        assert (from_arrays(**changed).fingerprint()["sha256"]
+                != from_arrays(**self.base()).fingerprint()["sha256"])

@@ -164,10 +164,8 @@ def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
                                                   ft.dtype))
                 continue
             mem = getattr(tdm, name)
-            rows_p = mem.table[peers]
-            c = np.stack([mem.count_gathered(own, rows_p, cfg.matching),
-                          mem.count_gathered(other, rows_p, cfg.matching)],
-                         axis=2)
+            c = mem.count_windows(np.column_stack([own, other]), peers,
+                                  cfg.matching)
             c[~valid] = mem.width if cfg.matching == MATCH_PAPER else 0
             out[f"co_{name}"].append((c / mem.width).astype(ft.dtype))
         eidx = seq.eidx[idx]
@@ -460,8 +458,9 @@ class TestRunDriver:
         cfg = tiny_cfg(epochs=2, seed=3)
         path = tmp_path / "best.npz"
         res = run(rand_graph, cfg, checkpoint_path=path)
-        params, dims, stored = load_params(path)
+        params, dims, stored, stream = load_params(path)
         assert stored == cfg.to_dict()
+        assert stream == rand_graph.fingerprint()
         rerun = evaluate_checkpoint(rand_graph, cfg, params, dims)
         assert rerun["val_ap"] == res["val_ap"][res["best_epoch"]]
         assert rerun["test_ap"] == res["test_ap"]

@@ -98,7 +98,7 @@ class TestHashTableBasics:
     def test_write_rejects_keys_that_overflow_int64(self):
         m = HashTableMemory(1, 1, 1)
         # a read-only view of 2^59 slots; 16 writes take 4 key bits: 2^63
-        m.table = np.broadcast_to(np.int64(1), (2 ** 30, 2 ** 29))
+        m.store = np.broadcast_to(np.uint8(1), (2 ** 30, 2 ** 29))
         with pytest.raises(ConfigError, match="overflow"):
             m.write(np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64))
 
@@ -163,7 +163,7 @@ class TestCoCount:
         anchors = rng.integers(0, 20, 6)
         peers = rng.integers(0, 21, (6, 4))   # includes the padding row
         for mode in (MATCH_PAPER, MATCH_STRICT):
-            got = m.count_gathered(anchors, m.table[peers], mode)
+            got = m.count_windows(anchors[:, None], peers, mode)[..., 0]
             for i in range(6):
                 for j in range(4):
                     a, b = int(anchors[i]), int(peers[i, j])
@@ -174,6 +174,118 @@ class TestCoCount:
                     else:
                         want = m.co_count(a, b, mode)
                     assert got[i, j] == want
+
+
+class Int64Tables:
+    """Reference sketch: full int64 ids, one insert per write, == counts."""
+
+    def __init__(self, num_nodes, width, q):
+        self.n, self.width, self.q = num_nodes, width, q
+        self.table = np.full((num_nodes + 1, width), num_nodes, dtype=np.int64)
+
+    def write(self, rows, values):
+        for row, val in zip(rows, values):
+            self.table[row, (int(val) * self.q) % self.width] = val
+
+    def counts(self, anchors, peers, valid, mode):
+        rows_p = self.table[peers]
+        c = np.empty(peers.shape + anchors.shape[1:], dtype=np.int64)
+        for j in range(anchors.shape[1]):
+            rows_a = self.table[anchors[:, j]][:, None, :]
+            eq = rows_p == rows_a
+            if mode == MATCH_STRICT:
+                eq &= rows_a != self.n
+            c[..., j] = eq.sum(axis=2)
+        c[~valid] = self.width if mode == MATCH_PAPER else 0
+        return c
+
+
+@st.composite
+def compact_tables(draw):
+    """(num_nodes, width, multiplier): widths that are and are not whole
+    8-slot words, and node counts small or with a largest quotient
+    (N - 1) // M of 254 or 255, either side of the uint8/uint16 boundary."""
+    top = draw(st.sampled_from([None, 254, 255]))
+    widths = [1, 3, 8, 12, 16, 24] + ([64, 72, 128] if top is None else [])
+    width = draw(st.sampled_from(widths))
+    q = draw(st.sampled_from([q for q in (1, 3, 5, 7, 9, 11)
+                              if gcd(q, width) == 1]))
+    if top is None:
+        num_nodes = draw(st.integers(1, 3 * width + 5))
+    else:
+        num_nodes = draw(st.integers(top * width + 1, (top + 1) * width))
+    return num_nodes, width, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(compact_tables(), st.integers(0, 2 ** 16), st.integers(0, 300),
+       st.integers(1, 6), st.integers(1, 3), st.sampled_from([MATCH_PAPER,
+                                                             MATCH_STRICT]))
+@example((255 * 8, 8, 3), 0, 200, 5, 2, MATCH_PAPER)     # top quotient 254
+@example((255 * 8 + 1, 8, 3), 0, 200, 5, 2, MATCH_STRICT)   # 255
+def test_compact_tables_equal_int64_reference(table, seed, writes, l, m, mode):
+    """Decoded ids and counts equal a table of full int64 ids.
+
+    Writes go to a few rows, so the ids collide in their slots, and half of
+    them are the largest ids, so the largest quotient is stored.  Windows
+    mix those rows with padded positions, which name the sentinel row.
+    """
+    num_nodes, width, q = table
+    r = np.random.default_rng(seed)
+    # the table under test is the short one; the long one is never written
+    tdm = TemporalDiverseMemory(num_nodes, 2 * width, width, 14 * width + 1, q)
+    mem, ref = tdm.short, Int64Tables(num_nodes, width, q)
+    assert mem.store.dtype == (np.uint8 if (num_nodes - 1) // width < 255
+                               else np.uint16)
+    hot = r.integers(0, num_nodes, size=4)
+    rows = r.choice(hot, size=writes)
+    values = np.where(r.random(writes) < 0.5, r.integers(0, num_nodes, writes),
+                      r.integers(max(0, num_nodes - 2 * width), num_nodes,
+                                 writes))
+    mem.write(rows, values)
+    ref.write(rows, values)
+    np.testing.assert_array_equal(mem.table, ref.table)
+
+    K = 7
+    ids = np.append(hot, r.integers(0, num_nodes, size=2))
+    anchors = r.choice(ids, size=(K, 1 + m))
+    peers = r.choice(ids, size=(K, l))
+    valid = r.random((K, l)) < 0.7
+    peers[~valid] = num_nodes
+    _, got = tdm.co_encode_batch(anchors[:, 0], anchors[:, 1:], peers, valid,
+                                 mode)
+    np.testing.assert_array_equal(got, ref.counts(anchors, peers, valid, mode))
+
+
+class TestCompactTables:
+    def test_decoded_table_is_read_only(self):
+        m = HashTableMemory(8, 4, 3)
+        m.insert(0, 5)
+        with pytest.raises(ValueError):
+            m.table[0, 0] = 1
+        assert m.table[0, m.slot_of(5)] == 5
+
+    @pytest.mark.parametrize("num_nodes", [4 * 255, 4 * 255 + 1])
+    def test_bad_write_leaves_the_store_untouched(self, num_nodes):
+        m = HashTableMemory(num_nodes, 4, 3)
+        m.write(np.array([0, 1]), np.array([num_nodes - 1, 2]))
+        before = m.store.copy()
+        with pytest.raises(IndexError):
+            m.write(np.array([1, 2]), np.array([5, num_nodes]))
+        np.testing.assert_array_equal(m.store, before)
+        assert m.table[0, m.slot_of(num_nodes - 1)] == num_nodes - 1
+
+    def test_audit_rejects_a_quotient_past_the_last_id(self):
+        m = HashTableMemory(10, 4, 3)
+        m.store[0, 1] = 3              # decodes to 3*4 + 3 = 15 >= 10
+        with pytest.raises(AssertionError, match="valid id range"):
+            check_slot_consistency(m)
+
+    def test_audit_rejects_a_written_padding_row(self):
+        m = HashTableMemory(10, 4, 3)
+        m.store[10, 1] = 0
+        with pytest.raises(AssertionError, match="padding row"):
+            check_slot_consistency(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -479,6 +479,25 @@ class TestTapeFreeEncode:
         assert tape_peak > one      # the tape path does build it
         assert peak < one
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_builds_the_raw_input_per_block(self, rng, layers):
+        dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=10,
+                         out_dim=10, layers=layers)
+        S, l, k = 800, 32, 54
+        pred = LinkPredictor(dims, dropout=0.1)
+        params, feats = self.setup(rng, dims, S=S, l=l, dtype=np.float32)
+        whole = S * l * k * np.dtype(np.float32).itemsize    # 5.5 MB
+        tracemalloc.start()
+        try:
+            pred.encode(params, feats, tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-batch build would hold the input and its time encoding,
+        # about 2x whole; with two layers, layer 0's (S, l, 5d) output
+        # (0.93x whole) is the next layer's input either way
+        assert peak < whole * (0.5 if layers == 1 else 1.6)
+
 
 class TestDropout:
     def test_requires_rng_in_training(self, rng):
@@ -548,15 +567,20 @@ class TestAdam:
         assert params["w"][0] < -0.29   # three near-full steps downhill
 
 
+STREAM = {"num_nodes": 5, "num_events": 9, "sha256": "0" * 64}
+
+
 class TestSaveLoad:
     def test_roundtrip(self, tmp_path):
         params = init_params(SMALL, seed=4)
         path = tmp_path / "ckpt.npz"
         config = RunConfig(seed=4, long_size=32, short_size=8).to_dict()
-        save_params(path, params, SMALL, config)
-        loaded, dims, stored = load_params(path)
+        stream = {"num_nodes": 7, "num_events": 40, "sha256": "ab" * 32}
+        save_params(path, params, SMALL, config, stream)
+        loaded, dims, stored, fingerprint = load_params(path)
         assert dims == SMALL
         assert stored == config
+        assert fingerprint == stream
         assert set(loaded) == set(params)
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
@@ -571,7 +595,7 @@ class TestSaveLoad:
         else:
             params["proj_time_w"] = params["proj_time_w"][:, :-1]
         path = tmp_path / "ckpt.npz"
-        save_params(path, params, SMALL, RunConfig().to_dict())
+        save_params(path, params, SMALL, RunConfig().to_dict(), STREAM)
         with pytest.raises(SnapshotError, match="missing, unexpected or misshapen"):
             load_params(path)
 
@@ -580,7 +604,8 @@ class TestSaveLoad:
         # 64 MB: the shapes are checked before anything that size exists
         wide = dataclasses.replace(SMALL, hidden=400, layers=2)
         path = tmp_path / "wide.npz"
-        save_params(path, {"merge_b": np.zeros(1)}, wide, RunConfig().to_dict())
+        save_params(path, {"merge_b": np.zeros(1)}, wide, RunConfig().to_dict(),
+                    STREAM)
         assert path.stat().st_size < 4096
         tracemalloc.start()
         try:
@@ -602,6 +627,15 @@ class TestSaveLoad:
         np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
                  w=np.zeros(2))
         with pytest.raises(SnapshotError, match="__config__"):
+            load_params(path)
+
+    @pytest.mark.parametrize("stream", [None, "[1, 2]"])
+    def test_missing_or_malformed_stream_rejected(self, tmp_path, stream):
+        path = tmp_path / "bad.npz"
+        extra = {} if stream is None else {"__stream__": np.array(stream)}
+        np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
+                 __config__=np.array("{}"), w=np.zeros(2), **extra)
+        with pytest.raises(SnapshotError, match="__stream__"):
             load_params(path)
 
 
