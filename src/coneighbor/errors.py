@@ -45,7 +45,7 @@ class ProtocolError(RuntimeError):
     """Internal call-sequence violation, e.g. mismatched query timestamps."""
 
 
-class SnapshotError(ValueError):
+class CheckpointError(ValueError):
     """Checkpoint file that is unreadable or of an unsupported version."""
 
 

@@ -14,40 +14,54 @@ sum_b x_b @ (P_b @ W0_b) + (fuse0_b + sum_b p_b @ W0_b).  The raw block
 inputs are only d_N + d_E + d_T + 4 wide, so this never builds the
 (S, l, 5d) concatenation; the parameters and the function are unchanged.
 
-Layer norm ignores a common shift of its input row, so its centring lives
-in the weights: every layer computes with W - (row means of W) and
-b - mean(b), its rows leave the matmul with zero mean, and layer norm
-only scales them.  The backward pass drops the mean(dy) term, which is a
-per-row constant, and centres the small weight and bias gradients once
-per batch instead; the centred weights carry the gradient to each layer's
-input.  On the last layer the dropout scale 1/(1-p) joins the mean-pool's
-1/l in one pooling vector.  The time-frequency gradient is contracted
-from A^T da, where A = dt * d(time encoding)/d(args), against the centred
-time rows of the folded layer-0 weight.
+Every fusion layer is one matmul u = A V, where A = [a, 1] is its input
+with a ones column and V = [W - row means of W; b - mean(b)] (layer 0:
+the folded weight and bias).  Layer norm ignores a common shift of its
+input row, so the centring lives in V: u leaves the matmul with
+zero-mean rows, and layer norm only scales them, y = inv * u with
+inv = 1 / sqrt(|u|^2 / 5d + eps).  Training drops each of y's 5d outputs
+with a mask m.  A position is kept if its uint16 draw is >= t, where
+t = min(round(p * 2^16), 2^16 - 1) and the draws are the generator's raw
+64-bit output read as uint16s; kept outputs are scaled by
+g = 1 / (1 - t / 2^16), the quantised keep rate.  The tape keeps u, inv
+and m, never y:
+  inner layers write z = (m * u) * (inv * g) straight into the next
+    layer's input [z, 1];
+  the last layer pools pool = sum_p (s * inv_p) * (m_p * u_p), one matvec
+    per sequence with per-position weights, where s = g / l carries the
+    mean-pool's 1/l and the dropout scale.
+The backward pass takes a block of sequences through every layer:
+  G = dz * m, then G *= inv * g (s * inv on the last layer);
+  e_p = inv_p^2 / 5d * <G_p, u_p>, then G -= e * u.
+G is then the exact gradient with respect to u.  The one with respect to
+the uncentred A [W; b] is G minus each row's mean, a per-row constant:
+the weight and bias gradients, A^T G, are centred over the output axis
+once per batch, which removes it, and the centred weights pass G @ W^T
+down to an inner layer's input, their rows summing to zero.  Layer 0's
+A is [raw inputs, 1, D] with D = dt * d(time encoding)/d(args), so one
+GEMM gives its weight and bias gradients and D^T G, which the centred
+time rows of the folded layer-0 weight contract to the time_freq
+gradient.
 
 Both passes run in blocks of whole sequences, sized by BLOCK_BYTES so that
 one block's (rows, 5d) temporaries stay in a core's L2 cache instead of
 streaming whole-batch arrays through memory once per elementwise step.
-The forward pass keeps layers as the outer loop, so the dropout draws are
-taken in the same order as one whole-array draw per layer.
+The forward pass keeps layers as the outer loop and every block but the
+last a whole multiple of 4 sequences, so a layer's per-block draws end on
+64-bit words and concatenate to one whole-layer draw, whatever
+BLOCK_BYTES is.  Layer 0's input is built per block in both passes, so no
+whole-batch (S, l, k) input is allocated on any batch.
 
 Scoring uses encode(..., tape=False), which collapses the last layer and
-never builds its (S, l, 5d) output.  With A_p = [a_p, 1] the layer's
-input at position p and V = [W; b] its centred weight and bias, layer
-norm needs only |A_p V|^2 = |A_p R^T|^2, where R is the triangular factor
-of one float64 QR of V^T: at most k+1 columns wide for a k-wide input,
-and a sum of squares, so nothing cancels.  Mean-pooling is linear, so it
-moves before the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w)
-+ out_b.  Training keeps the tape and the full layer: dropout masks each
-of the 5d outputs, so the pooled sum is no longer linear in A_p, and the
-backward pass needs every position's output.
-
-Scoring never builds the whole (S, l, k) raw input either: each block's
-time encoding and concatenation are made inside the block loop that
-consumes them (the collapsed last layer's, or layer 0's when there are
-more layers), so they stay in cache, and no whole-batch input is
-allocated, filled and freed on every scored batch.  Only the training
-tape keeps the whole input, for the backward pass.
+never builds its (S, l, 5d) output.  With A_p the layer's input at
+position p, layer norm needs only |A_p V|^2 = |A_p R^T|^2, where R is
+the triangular factor of one float64 QR of V^T: at most k+1 columns wide
+for a k-wide input, and a sum of squares, so nothing cancels.
+Mean-pooling is linear, so it moves before the output map:
+h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.  Training keeps the
+full layer: dropout masks each of the 5d outputs, so the pooled sum is
+no longer linear in A_p.  Scoring builds the raw input a block at a time
+inside the loop that consumes it, as training does.
 
 Everything is plain numpy.  Gradients are computed in closed form by
 walking the recorded intermediates backwards; the test suite checks every
@@ -62,7 +76,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SnapshotError
+from .errors import CheckpointError, ConfigError, NumericalError
 
 PARAMS_VERSION = 3
 # checkpoint entries that are not parameters
@@ -182,31 +196,31 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict, dict]:
     from ``save_params``.
 
     A missing file raises OSError; any other file that is not a checkpoint
-    of this version raises SnapshotError, and so does one whose parameter
+    of this version raises CheckpointError, and so does one whose parameter
     names and shapes differ from ``param_shapes`` of its dims.
     """
     try:
         with np.load(path) as z:
             version = int(z["__version__"])
             if version != PARAMS_VERSION:
-                raise SnapshotError(f"unsupported checkpoint version {version}")
+                raise CheckpointError(f"unsupported checkpoint version {version}")
             dims = ModelDims(*(int(x) for x in z["__dims__"]))
             config = json.loads(str(z["__config__"]))
             stream = json.loads(str(z["__stream__"]))
             if not isinstance(stream, dict):
-                raise SnapshotError(f"checkpoint {path}: __stream__ is not "
+                raise CheckpointError(f"checkpoint {path}: __stream__ is not "
                                     "a stream fingerprint")
             params = {k: z[k] for k in z.files if k not in _META}
         want = param_shapes(dims)
-    except SnapshotError:
+    except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as e:
-        raise SnapshotError(f"unreadable checkpoint {path}: {e}") from e
+        raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
     got = {k: v.shape for k, v in params.items()}
     bad = sorted(k for k in want.keys() | got.keys()
                  if want.get(k) != got.get(k))
     if bad:
-        raise SnapshotError(f"checkpoint {path}: parameters {bad} missing, "
+        raise CheckpointError(f"checkpoint {path}: parameters {bad} missing, "
                             f"unexpected or misshapen for {dims}")
     return params, dims, config, stream
 
@@ -242,45 +256,37 @@ def _inv_std(x: np.ndarray, n: int, eps: float = LN_EPS) -> np.ndarray:
     return inv
 
 
-def _layer_norm_centred(x: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """Layer norm, in place, of rows that already have zero mean.
-
-    Scales each row over the last axis to unit RMS and returns inv_std,
-    shaped (..., 1), for the backward pass.
-    """
-    inv = _inv_std(x, x.shape[-1], eps)
-    x *= inv
-    return inv
-
-
-def _layer_norm_centred_backward(dy: np.ndarray, y: np.ndarray,
-                                 inv: np.ndarray) -> np.ndarray:
-    """In place, dy becomes inv * (dy - y * mean(dy * y)).
-
-    The full layer-norm gradient also subtracts mean(dy), a per-row
-    constant; the caller removes it by centring what it accumulates.
-    """
-    m2 = np.einsum("...i,...i->...", dy, y)[..., None]
-    m2 /= y.shape[-1]
-    dy -= y * m2
-    dy *= inv
-    return dy
-
-
-def _time_encode_grad(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """dt * d/d(args) of time_encode's trig columns, without its scale."""
+def _time_encode_and_grad(dt: np.ndarray, freqs: np.ndarray):
+    """time_encode(dt, freqs), and dt * d/d(args) of its trig columns
+    without its scale, from one cos and one sin of every argument."""
     args = dt[..., None] * freqs
-    out = np.empty_like(args)
-    out[..., 0::2] = -np.sin(args[..., 0::2])
-    out[..., 1::2] = np.cos(args[..., 1::2])
-    out *= dt[..., None]
-    return out
+    te, grad = np.cos(args), np.sin(args)
+    # swap the odd columns: te = [cos, sin, ...], grad = [sin, cos, ...]
+    odd = te[..., 1::2].copy()
+    te[..., 1::2] = grad[..., 1::2]
+    grad[..., 1::2] = odd
+    te *= te.dtype.type(np.sqrt(1.0 / freqs.shape[0]))
+    grad[..., 0::2] *= -1.0
+    grad *= dt[..., None]
+    return te, grad
 
 
-def _sequence_blocks(S: int, l: int, f: int, dtype) -> list[slice]:
-    """Slices of whole sequences, each about BLOCK_BYTES of an (l, f) stack."""
+def _sequence_blocks(S: int, l: int, f: int, dtype,
+                     align: int = 1) -> list[slice]:
+    """Slices of whole sequences, each about BLOCK_BYTES of an (l, f) stack;
+    every block but the last holds a whole multiple of align sequences."""
     c = max(1, BLOCK_BYTES // (l * f * np.dtype(dtype).itemsize))
+    c = -(-c // align) * align
     return [slice(lo, min(lo + c, S)) for lo in range(0, S, c)]
+
+
+def _dropout_mask(rng: np.random.Generator, t: int, out: np.ndarray) -> None:
+    """Fill the bool array out with keep flags: a position is kept if its
+    uint16 draw is >= t.  The draws are the generator's raw 64-bit output
+    read as uint16s, so masks of 4k positions each concatenate to one."""
+    n = out.size
+    raw = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    np.greater_equal(raw.reshape(out.shape), t, out=out)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -305,8 +311,8 @@ class GradientTape:
     """Forward intermediates needed for the exact backward pass."""
 
     feats: SequenceFeatures
-    x: np.ndarray                    # raw block inputs, concatenated
-    # (z_in, y, inv_std, mask) per layer; layer 0's input is x, so z_in is None
+    # (z_in, u, inv_std, mask) per layer: z_in is an inner layer's input
+    # [z, 1], None for layer 0, whose input is rebuilt per block
     layers: list = field(default_factory=list)
     pool: np.ndarray | None = None
     h: np.ndarray | None = None
@@ -320,6 +326,10 @@ class LinkPredictor:
         if not 0.0 <= dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         self.dropout = dropout
+        # dropout on the 1/2^16 grid of the uint16 draws: t of every 2^16
+        # draw values drop, and the inverted scale uses that quantised rate
+        self._drop_t = min(round(dropout * 65536), 65535)
+        self._keep_scale = 1.0 / (1.0 - self._drop_t / 65536)
 
     # -- forward -------------------------------------------------------
 
@@ -339,83 +349,94 @@ class LinkPredictor:
         f, last = self.dims.fused, self.dims.layers - 1
         dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
                                feats.co_short, params["time_freq"],
-                               weights[0][0])
-        blocks = _sequence_blocks(S, l, f, dtype)
+                               weights[0])
         drop = training and self.dropout > 0.0
-        if drop:
-            c = blocks[0].stop if blocks else 0
-            draws = np.empty((c, l, f))           # float64, as rng.random gives
-            z_last = np.empty((c, l, f), dtype)   # last layer's y * mask
-        # mean-pool over positions, padded ones included in the divisor,
-        # carrying the last layer's inverted-dropout scale
-        pool_vec = np.full(l, self._pool_scale(l, drop), dtype)
-
-        # without a tape the raw inputs x are built a block at a time
-        x = self._inputs(params, feats) if tape else None
-        rec = GradientTape(feats=feats, x=x)
-        pool = np.empty((S, f), dtype)
-        z_in, a_in = None, x
-        for layer, (w, b) in enumerate(weights if tape else weights[:-1]):
+        gamma = self._keep_scale if drop else 1.0
+        # whole multiples of 4 sequences, so each block's uint16 draws end
+        # on a 64-bit word and the blocks' draws make one per layer
+        blocks = _sequence_blocks(S, l, f, dtype, align=4)
+        c = blocks[0].stop if blocks else 0
+        # inner layers' u, per block, when no tape keeps it
+        ubuf = np.empty((c, l, f), dtype) if last and not tape else None
+        mu = np.empty((c, l, f), dtype) if drop else None   # last m * u
+        rec = GradientTape(feats=feats)
+        pool = np.empty((S, f), dtype) if tape else None
+        z_in = a_in = None
+        for layer, V in enumerate(weights if tape else weights[:-1]):
             if layer:
                 z_in = a_in = z
-            y = np.empty((S, l, f), dtype)
-            inv = np.empty((S, l, 1), dtype)
+            u = np.empty((S, l, f), dtype) if tape else None
+            inv = np.empty((S, l, 1), dtype) if tape else None
             mask = np.empty((S, l, f), dtype=bool) if drop else None
-            z = np.empty_like(y) if drop and layer < last else y
+            if layer < last:
+                z = np.empty((S, l, f + 1), dtype)
+                z[..., f] = 1.0
             for blk in blocks:
-                yb = y[blk]
-                ab = self._block_input(params, feats, a_in, blk)
-                np.matmul(ab.reshape(-1, ab.shape[-1]), w,
-                          out=yb.reshape(-1, f))
-                yb += b
-                inv[blk] = _layer_norm_centred(yb)
-                zb = yb
+                n = blk.stop - blk.start
+                # layer 0's input [raw inputs, 1] is built per block
+                ab = (self._inputs(params, feats, blk, tail=1) if a_in is None
+                      else a_in[blk, :, :V.shape[0]])
+                ub = u[blk] if tape else ubuf[:n]
+                np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
+                ib = _inv_std(ub, f)
+                if tape:
+                    inv[blk] = ib
+                mb = ub
                 if drop:
-                    n = blk.stop - blk.start
-                    np.greater_equal(rng.random(out=draws[:n]), self.dropout,
-                                     out=mask[blk])
-                    zb = z[blk] if layer < last else z_last[:n]
-                    np.multiply(yb, mask[blk], out=zb)
-                    if layer < last:
-                        zb /= 1.0 - self.dropout
-                if layer == last:
-                    np.matmul(pool_vec, zb, out=pool[blk])
-            rec.layers.append((z_in, y, inv, mask))
+                    _dropout_mask(rng, self._drop_t, mask[blk])
+                    mb = z[blk, :, :f] if layer < last else mu[:n]
+                    np.multiply(ub, mask[blk], out=mb)
+                if layer < last:
+                    np.multiply(mb, ib * gamma, out=z[blk, :, :f])
+                else:
+                    # pool = sum_p (s * inv_p) * (m_p * u_p)
+                    ib *= self._pool_scale(l, drop)
+                    np.matmul(ib.reshape(n, 1, l), mb,
+                              out=pool[blk].reshape(n, 1, f))
+            rec.layers.append((z_in, u, inv, mask))
 
         if not tape:
-            a_in = z if last else None
+            a_in = z[..., :f] if last else None
             return self._collapsed_last_layer(params, feats, a_in,
-                                              *weights[last], dtype), None
+                                              weights[last], dtype), None
         h = pool @ params["out_w"] + params["out_b"]
         rec.pool, rec.h = pool, h
         return h, rec
 
     def _inputs(self, params, feats: SequenceFeatures,
-                blk: slice = slice(None)) -> np.ndarray:
-        """Raw block inputs of the sequences blk, concatenated: (n, l, k)."""
-        te = time_encode(feats.dt[blk], params["time_freq"])
-        return np.concatenate([feats.node[blk], feats.edge[blk], te,
-                               feats.co_long[blk], feats.co_short[blk]],
-                              axis=-1)
+                blk: slice = slice(None), tail: int = 0) -> np.ndarray:
+        """Raw block inputs of the sequences blk, concatenated: (n, l, k).
 
-    def _block_input(self, params, feats, a_in, blk):
-        """Rows blk of a layer's input a_in; None stands for the raw
-        inputs, which are then built for those rows only."""
-        return self._inputs(params, feats, blk) if a_in is None else a_in[blk]
+        tail 1 appends a ones column, the input of V's bias row; tail 2 also
+        appends dt * d(time encoding)/d(args), unscaled, for the backward
+        pass: (n, l, k + 1 + d_T).
+        """
+        dt, freqs = feats.dt[blk], params["time_freq"]
+        if tail == 2:
+            te, grad = _time_encode_and_grad(dt, freqs)
+        else:
+            te = time_encode(dt, freqs)
+        parts = [feats.node[blk], feats.edge[blk], te, feats.co_long[blk],
+                 feats.co_short[blk]]
+        if tail:
+            parts.append(np.ones(dt.shape + (1,), te.dtype))
+        if tail == 2:
+            parts.append(grad)
+        return np.concatenate(parts, axis=-1)
 
-    def _collapsed_last_layer(self, params, feats, a_in, w, b, dtype):
+    def _collapsed_last_layer(self, params, feats, a_in, V, dtype):
         """(S, d_o) readout of the last layer, without dropout, from its
         (S, l, k) input a_in (None: the raw inputs, built per block); the
         module docstring derives the form."""
         S, l = feats.dt.shape
-        k = w.shape[0]
-        V = np.vstack([w, b])
+        k = V.shape[0] - 1
         R = np.linalg.qr(V.T.astype(np.float64), mode="r").astype(dtype)
         r_w, r_b = R[:, :k].T, R[:, k]
         wc = np.empty((S, k + 1), dtype)        # sum_p inv_p * A_p
         # no temporary here is wider than k + 1
         for blk in _sequence_blocks(S, l, k + 1, dtype):
-            ab = self._block_input(params, feats, a_in, blk)
+            ab = (self._inputs(params, feats, blk) if a_in is None
+                  else a_in[blk])
             u = ab.reshape(-1, k) @ r_w
             u += r_b
             # |u|^2 = |y|^2 of the f-wide layer output y
@@ -425,8 +446,8 @@ class LinkPredictor:
         return wc @ (V @ params["out_w"] / l) + params["out_b"]
 
     def _pool_scale(self, l: int, drop: bool) -> float:
-        """1/l of the mean-pool, times the last layer's 1/(1-p) if dropped."""
-        return 1.0 / (l * (1.0 - self.dropout)) if drop else 1.0 / l
+        """1/l of the mean-pool, times the keep scale g if dropped."""
+        return (self._keep_scale if drop else 1.0) / l
 
     def _fold_layer0(self, params):
         """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""
@@ -440,15 +461,15 @@ class LinkPredictor:
         return np.concatenate(ws), b
 
     def _centred_weights(self, params):
-        """Per layer (W - row means of W, b - mean(b)); layer 0 folded.
+        """Per layer V = [W - row means of W; b - mean(b)]; layer 0 folded.
 
-        Every output row of a_in @ W + b then has zero mean, which is the
+        Every output row of [a_in, 1] @ V then has zero mean, which is the
         centring layer norm would do on each (S, l, 5d) row.
         """
         layers = [self._fold_layer0(params)] + [
             (params[f"fuse{k}_w"], params[f"fuse{k}_b"])
             for k in range(1, self.dims.layers)]
-        return [(_centre(w), _centre(b)) for w, b in layers]
+        return [np.vstack([_centre(w), _centre(b)]) for w, b in layers]
 
     def score(self, params, h_a: np.ndarray, h_b: np.ndarray) -> np.ndarray:
         """Pairwise link probability; order of (a, b) matters."""
@@ -503,75 +524,76 @@ class LinkPredictor:
         S, l = feats.dt.shape
         d, f, d_T = self.dims.hidden, self.dims.fused, self.dims.time_dim
         last = self.dims.layers - 1
-        x = tape.x
         weights = self._centred_weights(params)
         drop = tape.layers[last][3] is not None
 
         grads["out_w"] += tape.pool.T @ dH
         grads["out_b"] += dH.sum(axis=0)
         dpool = dH @ params["out_w"].T
-        dpool *= self._pool_scale(l, drop)
 
-        # per layer, a_in^T da and sum(da), where da lacks layer norm's
-        # per-row mean(dy) term; centring these sums over the output axis
-        # removes it.  The centred weights need no such step: their rows
-        # sum to zero, so da @ W^T carries the exact gradient to a_in.
-        gw = [np.zeros((w.shape[0], f), np.result_type(w, dpool))
-              for w, _ in weights]
-        gb = [np.zeros(f, dpool.dtype) for _ in weights]
-        # A^T da over the time-encoding inputs; the centred time rows of
-        # the folded layer-0 weight contract it to the time_freq gradient
-        lo_t = feats.node.shape[-1] + feats.edge.shape[-1]
-        w_t = weights[0][0][lo_t:lo_t + d_T]
-        gt = np.zeros((d_T, f), np.result_type(feats.dt, dpool))
+        # per layer A^T G, where G lacks the per-row mean term; centring
+        # these sums over the output axis removes it.  The centred weights
+        # need no such step: their rows sum to zero, so G @ W^T carries
+        # the exact gradient to an inner layer's input.
+        gv = [np.zeros((V.shape[0] + (0 if layer else d_T), f), dpool.dtype)
+              for layer, V in enumerate(weights)]
+        scales = [self._keep_scale if drop else 1.0] * last
+        scales.append(self._pool_scale(l, drop))
 
         # no draws here, so each block runs through every layer while its
         # gradients are still in cache
         for blk in _sequence_blocks(S, l, f, dpool.dtype):
             dz = dpool[blk][:, None, :]
             for layer in reversed(range(self.dims.layers)):
-                z_in, y, inv, mask = tape.layers[layer]
+                z_in, u, inv, mask = tape.layers[layer]
+                ub, ib = u[blk], inv[blk]
                 if mask is None:
-                    dy = np.array(np.broadcast_to(dz, y[blk].shape))
+                    G = np.array(np.broadcast_to(dz, ub.shape))
                 else:
-                    dy = dz * mask[blk]
-                    if layer < last:
-                        dy /= 1.0 - self.dropout
-                da = _layer_norm_centred_backward(dy, y[blk], inv[blk])
-                da = da.reshape(-1, f)
-                a_in = x if layer == 0 else z_in
-                gw[layer] += a_in[blk].reshape(-1, a_in.shape[-1]).T @ da
-                gb[layer] += da.sum(axis=0)
+                    G = dz * mask[blk]
+                G *= ib * scales[layer]
+                e = np.vecdot(G, ub)[..., None]
+                e *= ib * ib
+                e /= f
+                G -= e * ub
+                G = G.reshape(-1, f)
+                # layer 0's A: [raw inputs, 1, D]
+                a = (z_in[blk] if layer else
+                     self._inputs(params, feats, blk, tail=2))
+                gv[layer] += a.reshape(-1, a.shape[-1]).T @ G
                 if layer:
-                    dz = (da @ weights[layer][0].T).reshape(dy.shape)
-            A = _time_encode_grad(feats.dt[blk], params["time_freq"])
-            gt += A.reshape(-1, d_T).T @ da
+                    dz = (G @ weights[layer][:f].T).reshape(ub.shape)
 
-        for g in gw + gb:
+        for g in gv:
             g -= g.mean(axis=-1, keepdims=True)
         for layer in range(1, self.dims.layers):
-            grads[f"fuse{layer}_w"] += gw[layer]
-            grads[f"fuse{layer}_b"] += gb[layer]
+            grads[f"fuse{layer}_w"] += gv[layer][:f]
+            grads[f"fuse{layer}_b"] += gv[layer][f]
 
-        # layer 0 in folded form: with G_b = x_b^T da and s = sum(da),
+        # layer 0 in folded form: with G_b = x_b^T G and s = sum(G),
         # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
         # d p_b = W0_b s
-        G, s = gw[0], gb[0]
+        k = weights[0].shape[0] - 1
+        G, s, gt = gv[0][:k], gv[0][k], gv[0][k + 1:]
         w0 = params["fuse0_w"]
         grads["fuse0_b"] += s
         lo = 0
         for i, name in enumerate(BLOCKS):
             rows = slice(i * d, (i + 1) * d)
             w0_b, p_w = w0[rows], params[f"proj_{name}_w"]
-            k = p_w.shape[0]          # k may be zero
-            G_b = G[lo:lo + k]
+            kb = p_w.shape[0]          # kb may be zero
+            G_b = G[lo:lo + kb]
             grads["fuse0_w"][rows] += p_w.T @ G_b + np.outer(params[f"proj_{name}_b"], s)
             grads[f"proj_{name}_w"] += G_b @ w0_b.T
             grads[f"proj_{name}_b"] += w0_b @ s
-            lo += k
+            lo += kb
 
-        sc = np.sqrt(1.0 / d_T)
-        grads["time_freq"] += sc * np.einsum("ij,ij->i", gt, w_t)
+        # the time rows of the folded layer-0 weight contract D^T G to the
+        # time_freq gradient
+        lo_t = feats.node.shape[-1] + feats.edge.shape[-1]
+        w_t = weights[0][lo_t:lo_t + d_T]
+        grads["time_freq"] += np.sqrt(1.0 / d_T) * np.einsum("ij,ij->i", gt,
+                                                             w_t)
 
 
 # -- optimizer --------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from coneighbor import model
 from coneighbor.config import RunConfig
-from coneighbor.errors import ConfigError, NumericalError, SnapshotError
+from coneighbor.errors import CheckpointError, ConfigError, NumericalError
 from coneighbor.model import (BLOCKS, CLAMP_EPS, PARAMS_VERSION, AdamState,
                               LinkPredictor, ModelDims, SequenceFeatures,
                               adam_init, adam_step, bce_loss, copy_params,
@@ -72,24 +72,25 @@ class TestTimeEncode:
 
 
 class TestLayerNorm:
-    """The forward helper only scales: centring lives in the weights."""
+    """The forward helper only finds 1/RMS: centring lives in the weights."""
 
     def test_rows_standardized(self, rng):
         x = rng.normal(3.0, 2.5, (5, 64))
         x -= x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv = model._layer_norm_centred(x)
-        np.testing.assert_allclose(x.mean(axis=-1), 0.0, atol=1e-12)
+        inv = model._inv_std(x, x.shape[-1])
+        y = x * inv
+        np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         # unit RMS up to the eps under the square root
-        np.testing.assert_allclose(np.sqrt(np.mean(x * x, axis=-1)), 1.0,
+        np.testing.assert_allclose(np.sqrt(np.mean(y * y, axis=-1)), 1.0,
                                    atol=1e-5)
         np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + model.LN_EPS))
 
     def test_constant_row_maps_to_zero(self):
         # a constant row leaves the centred weights as a zero row
         x = np.zeros((2, 8))
-        inv = model._layer_norm_centred(x)
-        np.testing.assert_array_equal(x, np.zeros((2, 8)))
+        inv = model._inv_std(x, 8)
+        np.testing.assert_array_equal(x * inv, np.zeros((2, 8)))
         np.testing.assert_allclose(inv, 1.0 / np.sqrt(model.LN_EPS))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -99,12 +100,10 @@ class TestLayerNorm:
         x = x.astype(dtype)
         want_inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True)
                                  + model.LN_EPS)
-        want_y = x * want_inv
-        inv = model._layer_norm_centred(x)
+        inv = model._inv_std(x, x.shape[-1])
         assert inv.shape == (4, 6, 1) and inv.dtype == dtype
         rtol = 1e-12 if dtype == np.float64 else 1e-6
         np.testing.assert_allclose(inv, want_inv, rtol=rtol)
-        np.testing.assert_allclose(x, want_y, rtol=rtol, atol=rtol)
 
 
 class TestInit:
@@ -243,15 +242,25 @@ def full_layer_norm(a):
     return ac * inv, inv
 
 
+def raw_bit_mask(rng, shape, p):
+    """One whole-array mask: a position is kept if its uint16 draw, read
+    from the generator's raw 64-bit output, is >= round(p * 2^16)."""
+    n = int(np.prod(shape))
+    raw = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return raw.reshape(shape) >= round(p * 2 ** 16)
+
+
 def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
     """Reference: project every block, concatenate to 5d, then fuse0.
 
-    Training mode; every layer divides its dropped output by 1 - p, and the
-    masks are drawn with the same calls as in LinkPredictor.encode (all
-    kept when p is 0).  Layer norm centres every row and its backward pass
-    keeps the mean(dy) term.  Probabilities must stay off the clamp.
+    Training mode; every layer divides its dropped output by the quantised
+    keep rate 1 - round(p * 2^16) / 2^16, and each layer's mask is one
+    whole-array raw_bit_mask (all kept when p is 0).  Layer norm centres
+    every row and its backward pass keeps the mean(dy) term.  Probabilities
+    must stay off the clamp.
     """
-    dims, keep = pred.dims, 1.0 - pred.dropout
+    dims = pred.dims
+    keep = 1.0 - round(pred.dropout * 2 ** 16) / 2 ** 16
     d, f = dims.hidden, dims.fused
     S, l = feats.dt.shape
     freqs = params["time_freq"]
@@ -264,7 +273,7 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
     for layer in range(dims.layers):
         y, inv = full_layer_norm(z @ params[f"fuse{layer}_w"]
                                  + params[f"fuse{layer}_b"])
-        mask = rng.random(y.shape) >= pred.dropout
+        mask = raw_bit_mask(rng, y.shape, pred.dropout)
         layers.append((z, y, inv, mask))
         z = y * mask / keep
     pool = z.mean(axis=1)
@@ -325,13 +334,14 @@ class TestFoldedLayer0:
     def check(self, rng, monkeypatch, layers, dropout, feat_dim):
         dims = ModelDims(node_dim=feat_dim, edge_dim=feat_dim, time_dim=6,
                          hidden=4, out_dim=3, layers=layers)
-        # 3 float64 sequences per block: S=8 ends in a ragged block of 2
+        # 3 float64 sequences per block, which training rounds up to 4:
+        # S=10 ends in a ragged block of 2
         monkeypatch.setattr(model, "BLOCK_BYTES", 3 * 5 * dims.fused * 8)
         pred = LinkPredictor(dims, dropout=dropout)
         params = init_params(dims, seed=4, time_span=5.0)
         for v in params.values():    # non-zero biases reach every fold term
             v += rng.normal(scale=0.2, size=v.shape)
-        feats = make_feats(rng, S=8, l=5, d_N=feat_dim, d_E=feat_dim)
+        feats = make_feats(rng, S=10, l=5, d_N=feat_dim, d_E=feat_dim)
         pos = (np.array([0, 1, 2]), np.array([3, 4, 5]))
         neg = (np.array([0, 1, 6]), np.array([6, 7, 2]))
         loss, grads, probs = pred.loss_and_grads(
@@ -353,8 +363,9 @@ class TestFoldedLayer0:
 class TestBlockedEncoder:
     """Blocks of whole sequences compute the one-block function and draws."""
 
-    def outputs(self, monkeypatch, block_seqs, S, layers, training):
-        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=4,
+    def outputs(self, monkeypatch, block_seqs, S, layers, training,
+                hidden=4):
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=hidden,
                          out_dim=3, layers=layers)
         l, f = 5, dims.fused
         # block_seqs whole float64 sequences per block
@@ -375,14 +386,26 @@ class TestBlockedEncoder:
         return h, tape, loss, grads
 
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("S", [8, 2, 1])
+    @pytest.mark.parametrize("S", [10, 8, 2, 1])
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_one_block(self, monkeypatch, layers, S, training):
-        # 3 sequences per block: S=8 ends in a ragged block of 2, S=2 and
-        # S=1 fit in one block
-        h, tape, loss, grads = self.outputs(monkeypatch, 3, S, layers, training)
+        # 3 sequences per block, rounded up to 4: S=10 ends in a ragged
+        # block of 2, S=8 in two whole blocks, S=2 and S=1 fit in one
+        self.check(monkeypatch, 3, S, layers, training)
+
+    @pytest.mark.parametrize("S", [7, 5])
+    def test_block_draws_not_a_multiple_of_4(self, monkeypatch, S):
+        # hidden 1 and l 5: a sequence takes 25 uint16 draws, so blocks of
+        # 1 or 3 sequences would end mid-word; training rounds them up to 4
+        # sequences, and the result equals the one-block run
+        for block_seqs in (1, 3):
+            self.check(monkeypatch, block_seqs, S, 2, True, hidden=1)
+
+    def check(self, monkeypatch, block_seqs, S, layers, training, hidden=4):
+        h, tape, loss, grads = self.outputs(monkeypatch, block_seqs, S,
+                                            layers, training, hidden)
         h1, tape1, loss1, grads1 = self.outputs(monkeypatch, 10 ** 6, S,
-                                                layers, training)
+                                                layers, training, hidden)
         np.testing.assert_allclose(h, h1, rtol=1e-12, atol=1e-12)
         for got, want in zip(tape.layers, tape1.layers):
             for a, b in zip(got, want):
@@ -400,8 +423,8 @@ class TestBlockedEncoder:
     def test_masks_are_whole_layer_draws(self, monkeypatch, S):
         _, tape, _, _ = self.outputs(monkeypatch, 3, S, 2, True)
         r = np.random.default_rng(21)
-        for _, y, _, mask in tape.layers:
-            np.testing.assert_array_equal(mask, r.random(y.shape) >= 0.3)
+        for _, u, _, mask in tape.layers:
+            np.testing.assert_array_equal(mask, raw_bit_mask(r, u.shape, 0.3))
 
 
 class TestTapeFreeEncode:
@@ -517,11 +540,31 @@ class TestDropout:
                             rng=np.random.default_rng(6))
         np.testing.assert_array_equal(h1, h2)
         assert (h1 != h3).any()
-        # the second layer's input is the first layer's dropped output
+        # the second layer's input is the first layer's dropped output,
+        # then a ones column; 0.5 is exact on the 1/2^16 grid
         z_in1 = tape1.layers[1][0]
-        y0, _, _, mask0 = (tape1.layers[0][1], None, None,
-                           tape1.layers[0][3])
-        np.testing.assert_allclose(z_in1, y0 * mask0 / 0.5)
+        _, u0, inv0, mask0 = tape1.layers[0]
+        np.testing.assert_allclose(z_in1[..., :-1], u0 * inv0 * mask0 / 0.5)
+        np.testing.assert_array_equal(z_in1[..., -1], 1.0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_quantised_keep_rate_and_scale(self, rng, p):
+        t = round(p * 2 ** 16)
+        keep = 1.0 - t / 2 ** 16
+        n = 10 ** 6
+        mask = np.empty(n, dtype=bool)
+        model._dropout_mask(np.random.default_rng(8), t, mask)
+        sigma = np.sqrt(keep * (1.0 - keep) / n)
+        assert abs(mask.mean() - keep) < 5 * sigma
+        # the scale applied to an inner layer's kept outputs is exactly
+        # 1 / (1 - t/2^16), not 1 / (1 - p)
+        pred = LinkPredictor(SMALL, dropout=p)
+        _, tape = pred.encode(init_params(SMALL, seed=0), make_feats(rng),
+                              training=True, rng=np.random.default_rng(5))
+        _, u0, inv0, mask0 = tape.layers[0]
+        np.testing.assert_array_equal(tape.layers[1][0][..., :-1],
+                                      (u0 * mask0) * (inv0 * (1.0 / keep)))
+        assert 1.0 / keep != 1.0 / (1.0 - p)
 
     def test_eval_mode_ignores_dropout(self, rng):
         pred = LinkPredictor(SMALL, dropout=0.9)
@@ -596,7 +639,8 @@ class TestSaveLoad:
             params["proj_time_w"] = params["proj_time_w"][:, :-1]
         path = tmp_path / "ckpt.npz"
         save_params(path, params, SMALL, RunConfig().to_dict(), STREAM)
-        with pytest.raises(SnapshotError, match="missing, unexpected or misshapen"):
+        with pytest.raises(CheckpointError,
+                           match="missing, unexpected or misshapen"):
             load_params(path)
 
     def test_wide_dims_rejected_without_allocating_them(self, tmp_path):
@@ -609,7 +653,7 @@ class TestSaveLoad:
         assert path.stat().st_size < 4096
         tracemalloc.start()
         try:
-            with pytest.raises(SnapshotError, match="misshapen"):
+            with pytest.raises(CheckpointError, match="misshapen"):
                 load_params(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -619,14 +663,14 @@ class TestSaveLoad:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, __version__=99, __dims__=np.arange(6), w=np.zeros(2))
-        with pytest.raises(SnapshotError):
+        with pytest.raises(CheckpointError):
             load_params(path)
 
     def test_missing_config_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
                  w=np.zeros(2))
-        with pytest.raises(SnapshotError, match="__config__"):
+        with pytest.raises(CheckpointError, match="__config__"):
             load_params(path)
 
     @pytest.mark.parametrize("stream", [None, "[1, 2]"])
@@ -635,7 +679,7 @@ class TestSaveLoad:
         extra = {} if stream is None else {"__stream__": np.array(stream)}
         np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
                  __config__=np.array("{}"), w=np.zeros(2), **extra)
-        with pytest.raises(SnapshotError, match="__stream__"):
+        with pytest.raises(CheckpointError, match="__stream__"):
             load_params(path)
 
 
