@@ -169,6 +169,9 @@ def run_bench(batch_size: int = 200, num_nodes: int = 400,
               widths=DEFAULT_WIDTHS, repeats: int = 7,
               seed: int = 0) -> BenchReport:
     """Measure both axes and fit the scaling lines."""
+    if min(batch_size, repeats) < 1 or num_nodes < 2 or seed < 0:
+        raise ConfigError("bench needs batch_size >= 1, repeats >= 1, "
+                          "num_nodes >= 2 and seed >= 0")
     rng = np.random.default_rng([seed, 0xBEC])
     base = RunConfig()
 

@@ -98,7 +98,11 @@ def _describe(stream: dict) -> str:
 
 def cmd_eval(args) -> int:
     params, dims, stored, stream = load_params(args.checkpoint)
-    cfg = RunConfig.from_dict(stored)
+    try:
+        cfg = RunConfig.from_dict(stored)
+    except (ConfigError, TypeError) as e:
+        raise CheckpointError(f"checkpoint {args.checkpoint}: stored config "
+                              f"is invalid: {e}") from e
     g = load_events(args.data, _layout(args))
     got = g.fingerprint()
     if got != stream:
@@ -120,7 +124,11 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config(args)
     g = load_events(args.data, _layout(args))
-    values = [int(v) for v in args.values.split(",") if v]
+    try:
+        values = [int(v) for v in args.values.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"--values takes comma-separated integers, not "
+                          f"{args.values!r}") from None
     out = _outdir(args)
     write_json(out / "config.json", {"base": cfg.to_dict(),
                                      "axis": args.axis, "values": values})

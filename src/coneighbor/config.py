@@ -93,8 +93,8 @@ class RunConfig:
             raise ConfigError("hidden, out_dim and layers must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.lr < 0.0:
-            raise ConfigError("lr must be non-negative")
+        if self.lr < 0.0 or self.seed < 0:
+            raise ConfigError("lr and seed must be non-negative")
         if min(self.batch_size, self.epochs, self.patience, self.neg_ratio) < 1:
             raise ConfigError("batch_size, epochs, patience, neg_ratio must be >= 1")
         return self

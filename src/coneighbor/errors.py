@@ -41,10 +41,6 @@ class OrderingError(DataError):
     """Events presented out of timestamp order."""
 
 
-class ProtocolError(RuntimeError):
-    """Internal call-sequence violation, e.g. mismatched query timestamps."""
-
-
 class CheckpointError(ValueError):
     """Checkpoint file that is unreadable or of an unsupported version."""
 

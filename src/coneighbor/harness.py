@@ -28,7 +28,7 @@ from .data import (TEST, VAL, SplitSpec, TemporalGraph,
                    chronological_split, destination_pool, sample_negative,
                    scored_event_mask, select_inductive_nodes,
                    train_event_indices, with_inductive)
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, NumericalError, UndefinedMetricError
 from .history import HistoryStore, NeighborSequenceBatch
 from .memory import TemporalDiverseMemory
 from .metrics import auc_roc, average_precision
@@ -407,6 +407,10 @@ def run_sweep(g: TemporalGraph, cfg: RunConfig, axis: str, values,
 
 
 def write_json(path, obj) -> None:
+    """Write obj as JSON; a NaN or infinity raises NumericalError instead."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericalError(f"{path} not written: {e}") from e
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -33,38 +33,18 @@ def _empty_log(cap: int) -> np.ndarray:
 
 
 @dataclass
-class NeighborSequence:
-    """Fixed-length causal window for one anchor at one query time."""
-
-    anchor: int
-    t: float
-    peers: np.ndarray   # (l_s,) int64; peers[0] == anchor; padding == sentinel
-    dt: np.ndarray      # (l_s,) float64; t - interaction time, 0 at padding
-    eidx: np.ndarray    # (l_s,) int64; NO_EDGE for self entry and padding
-    valid: np.ndarray   # (l_s,) bool; True for self entry and real history
-
-    def __len__(self) -> int:
-        return self.peers.shape[0]
-
-
-@dataclass
 class NeighborSequenceBatch:
-    """Row-stacked sequences; row(i) views the i-th anchor's window."""
+    """Fixed-length causal windows, one row per anchor and query time."""
 
     anchors: np.ndarray  # (B,) int64
     t: np.ndarray        # (B,) float64
-    peers: np.ndarray    # (B, l_s) int64
-    dt: np.ndarray       # (B, l_s) float64
-    eidx: np.ndarray     # (B, l_s) int64
-    valid: np.ndarray    # (B, l_s) bool
+    peers: np.ndarray    # (B, l_s) int64; [:, 0] == anchors; padding == sentinel
+    dt: np.ndarray       # (B, l_s) float64; t - interaction time, 0 at padding
+    eidx: np.ndarray     # (B, l_s) int64; NO_EDGE for self entry and padding
+    valid: np.ndarray    # (B, l_s) bool; True for self entry and real history
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
-
-    def row(self, i: int) -> NeighborSequence:
-        return NeighborSequence(int(self.anchors[i]), float(self.t[i]),
-                                self.peers[i], self.dt[i],
-                                self.eidx[i], self.valid[i])
 
 
 class HistoryStore:
@@ -90,10 +70,6 @@ class HistoryStore:
         self._log[0] = (0, self.sentinel, NO_EDGE, -np.inf)
         self._field_views()
         self._head = np.zeros(num_nodes, dtype=np.int64)
-
-    def record(self, u: int, v: int, t: float, edge_idx: int) -> None:
-        """Append the interaction to both endpoint logs."""
-        self.record_batch([u], [v], [t], [edge_idx])
 
     def record_batch(self, src, dst, t, edge_idx) -> None:
         """Append a batch of interactions in order, both sides of each.
@@ -148,9 +124,6 @@ class HistoryStore:
     def _field_views(self) -> None:
         self._prev, self._peer, self._eidx, self._t = (
             self._log[name] for name in ENTRY.names)
-
-    def recent_sequence(self, anchor: int, t: float, length: int) -> NeighborSequence:
-        return self.recent_batch([anchor], [t], length).row(0)
 
     def recent_batch(self, anchors, ts, length: int) -> NeighborSequenceBatch:
         """Extract causal windows for several anchors at once.

@@ -33,14 +33,12 @@ table overwrites faster and therefore tracks only recent neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .config import MATCH_PAPER, MATCH_STRICT, MATCHINGS
-from .errors import ConfigError, ProtocolError
-from .history import NeighborSequence, NeighborSequenceBatch
+from .errors import ConfigError
 
 
 # compact slots per counting block: a block's comparison temporaries then
@@ -196,13 +194,6 @@ class HashTableMemory:
         self.store.fill(self.empty)
 
 
-def _valid_nonself_peers(seq: NeighborSequence) -> np.ndarray:
-    """Valid entries excluding position 0 (the self entry), in sequence order."""
-    keep = seq.valid.copy()
-    keep[0] = False
-    return seq.peers[keep]
-
-
 class TemporalDiverseMemory:
     """Long- and short-horizon neighbor sketches updated in lockstep."""
 
@@ -251,9 +242,9 @@ class TemporalDiverseMemory:
         at a time, and counted against anchor_own[k] and against
         anchor_other[k], which is one id or, as a (K, m) array, m ids.  Per
         position that gives n = 1 + m counts: to anchor_own, then to each
-        other anchor.  Padding
-        positions (valid False) are overridden to the no-information value:
-        full width under paper matching, zero under strict.
+        other anchor.  Padding positions (valid False) are overridden to the
+        no-information value: full width under paper matching, zero under
+        strict.
 
         Returns (long_counts, short_counts), each (K, l, n) unsigned
         (uint16 up to a width of 65535); with short False the short table
@@ -269,20 +260,6 @@ class TemporalDiverseMemory:
             out.append(c)
         return out[0], out[1] if short else None
 
-    def co_encode(self, u: int, v: int, seq_u: NeighborSequence,
-                  seq_v: NeighborSequence, mode: str = MATCH_PAPER):
-        """Per-pair structure features, one CoNeighborFeature per side."""
-        if seq_u.t != seq_v.t:
-            raise ProtocolError(
-                f"sequence timestamps differ: {seq_u.t} vs {seq_v.t}")
-        feats = []
-        for own, other, seq in ((u, v, seq_u), (v, u, seq_v)):
-            lng, sht = self.co_encode_batch(
-                np.array([own]), np.array([other]),
-                seq.peers[None, :], seq.valid[None, :], mode)
-            feats.append(CoNeighborFeature(lng[0], sht[0], seq.valid.copy()))
-        return feats[0], feats[1]
-
     # -- writes --------------------------------------------------------
 
     def apply_link_update(self, u, v, seq_u, seq_v, two_order: bool = True,
@@ -290,22 +267,19 @@ class TemporalDiverseMemory:
                           update_short: bool = True) -> None:
         """Write a batch of observed links into the sketches.
 
-        u and v are (B,) endpoint ids and seq_u, seq_v their windows from
-        before the batch (a NeighborSequenceBatch, or a NeighborSequence
-        with scalar ids for a batch of one).  The writes are exactly those
-        of applying the links one by one in stream order.  Per link the
-        rule order is fixed: (1) each endpoint learns the other; (2) each
-        endpoint learns the other's sampled past partners; (3) those past
-        partners learn the new endpoint.  Within a rule, window order;
-        position 0 (the anchor itself) and padding are skipped.  Later
-        writes win slot conflicts.
+        u and v are (B,) endpoint ids and seq_u, seq_v their
+        NeighborSequenceBatch windows from before the batch.  The writes
+        are exactly those of applying the links one by one in stream
+        order.  Per link the rule order is fixed: (1) each endpoint learns
+        the other; (2) each endpoint learns the other's sampled past
+        partners; (3) those past partners learn the new endpoint.  Within
+        a rule, window order; position 0 (the anchor itself) and padding
+        are skipped.  Later writes win slot conflicts.
         """
-        u = np.atleast_1d(np.asarray(u, dtype=np.int64))[:, None]
-        v = np.atleast_1d(np.asarray(v, dtype=np.int64))[:, None]
-        pu = np.atleast_2d(seq_u.peers)[:, 1:]
-        pv = np.atleast_2d(seq_v.peers)[:, 1:]
-        ku = np.atleast_2d(seq_u.valid)[:, 1:]
-        kv = np.atleast_2d(seq_v.valid)[:, 1:]
+        u = np.asarray(u, dtype=np.int64)[:, None]
+        v = np.asarray(v, dtype=np.int64)[:, None]
+        pu, pv = seq_u.peers[:, 1:], seq_v.peers[:, 1:]
+        ku, kv = seq_u.valid[:, 1:], seq_v.valid[:, 1:]
         uu = np.broadcast_to(u, pv.shape)
         vv = np.broadcast_to(v, pu.shape)
         one = np.ones(u.shape, dtype=bool)
@@ -325,15 +299,6 @@ class TemporalDiverseMemory:
         self.short.reset()
 
 
-@dataclass
-class CoNeighborFeature:
-    """Per-position (count_to_anchor, count_to_other) pairs, both horizons."""
-
-    long: np.ndarray    # (l_s, 2) unsigned counts
-    short: np.ndarray   # (l_s, 2)
-    valid: np.ndarray   # (l_s,) bool; False where counts are padding values
-
-
 class ExactNeighborLog:
     """Unbounded-set twin of the sketch memory for oracle testing.
 
@@ -344,34 +309,36 @@ class ExactNeighborLog:
     """
 
     def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
         self._sets: list[set[int]] = [set() for _ in range(num_nodes)]
 
-    def apply_link_update(self, u: int, v: int, seq_u: NeighborSequence,
-                          seq_v: NeighborSequence, two_order: bool = True,
+    def apply_link_update(self, u, v, seq_u, seq_v, two_order: bool = True,
                           neighbor_update: bool = True) -> None:
-        peers_u = _valid_nonself_peers(seq_u)
-        peers_v = _valid_nonself_peers(seq_v)
-        self._sets[u].add(v)
-        self._sets[v].add(u)
-        if two_order:
-            self._sets[u].update(int(j) for j in peers_v)
-            self._sets[v].update(int(i) for i in peers_u)
-        if neighbor_update:
-            for i in peers_u:
-                self._sets[int(i)].add(v)
-            for j in peers_v:
-                self._sets[int(j)].add(u)
+        """TemporalDiverseMemory.apply_link_update's batch, applied one
+        link at a time in stream order and rule order; position 0 and
+        padding are skipped."""
+        s = self._sets
+        for a, b, pu, ku, pv, kv in zip(
+                np.asarray(u).tolist(), np.asarray(v).tolist(),
+                seq_u.peers[:, 1:].tolist(), seq_u.valid[:, 1:].tolist(),
+                seq_v.peers[:, 1:].tolist(), seq_v.valid[:, 1:].tolist()):
+            peers_u = [i for i, ok in zip(pu, ku) if ok]
+            peers_v = [j for j, ok in zip(pv, kv) if ok]
+            s[a].add(b)
+            s[b].add(a)
+            if two_order:
+                s[a].update(peers_v)
+                s[b].update(peers_u)
+            if neighbor_update:
+                for i in peers_u:
+                    s[i].add(b)
+                for j in peers_v:
+                    s[j].add(a)
 
     def stored(self, node: int) -> set[int]:
         return self._sets[node]
 
     def common(self, a: int, b: int) -> int:
         return len(self._sets[a] & self._sets[b])
-
-    def reset(self) -> None:
-        for s in self._sets:
-            s.clear()
 
 
 def slot_injective(mem: HashTableMemory, ids) -> bool:

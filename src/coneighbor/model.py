@@ -207,9 +207,10 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict, dict]:
             dims = ModelDims(*(int(x) for x in z["__dims__"]))
             config = json.loads(str(z["__config__"]))
             stream = json.loads(str(z["__stream__"]))
-            if not isinstance(stream, dict):
-                raise CheckpointError(f"checkpoint {path}: __stream__ is not "
-                                    "a stream fingerprint")
+            for name, value in (("__config__", config), ("__stream__", stream)):
+                if not isinstance(value, dict):
+                    raise CheckpointError(f"checkpoint {path}: {name} is not "
+                                          "a JSON object")
             params = {k: z[k] for k in z.files if k not in _META}
         want = param_shapes(dims)
     except CheckpointError:
@@ -315,7 +316,6 @@ class GradientTape:
     # [z, 1], None for layer 0, whose input is rebuilt per block
     layers: list = field(default_factory=list)
     pool: np.ndarray | None = None
-    h: np.ndarray | None = None
 
 
 class LinkPredictor:
@@ -359,12 +359,10 @@ class LinkPredictor:
         # inner layers' u, per block, when no tape keeps it
         ubuf = np.empty((c, l, f), dtype) if last and not tape else None
         mu = np.empty((c, l, f), dtype) if drop else None   # last m * u
-        rec = GradientTape(feats=feats)
         pool = np.empty((S, f), dtype) if tape else None
-        z_in = a_in = None
+        rec = GradientTape(feats=feats, pool=pool)
         for layer, V in enumerate(weights if tape else weights[:-1]):
-            if layer:
-                z_in = a_in = z
+            z_in = z if layer else None
             u = np.empty((S, l, f), dtype) if tape else None
             inv = np.empty((S, l, 1), dtype) if tape else None
             mask = np.empty((S, l, f), dtype=bool) if drop else None
@@ -374,8 +372,8 @@ class LinkPredictor:
             for blk in blocks:
                 n = blk.stop - blk.start
                 # layer 0's input [raw inputs, 1] is built per block
-                ab = (self._inputs(params, feats, blk, tail=1) if a_in is None
-                      else a_in[blk, :, :V.shape[0]])
+                ab = (self._inputs(params, feats, blk, tail=1) if z_in is None
+                      else z_in[blk, :, :V.shape[0]])
                 ub = u[blk] if tape else ubuf[:n]
                 np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
                 ib = _inv_std(ub, f)
@@ -396,12 +394,10 @@ class LinkPredictor:
             rec.layers.append((z_in, u, inv, mask))
 
         if not tape:
-            a_in = z[..., :f] if last else None
-            return self._collapsed_last_layer(params, feats, a_in,
-                                              weights[last], dtype), None
-        h = pool @ params["out_w"] + params["out_b"]
-        rec.pool, rec.h = pool, h
-        return h, rec
+            return self._collapsed_last_layer(
+                params, feats, z[..., :f] if last else None, weights[last],
+                dtype), None
+        return pool @ params["out_w"] + params["out_b"], rec
 
     def _inputs(self, params, feats: SequenceFeatures,
                 blk: slice = slice(None), tail: int = 0) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MATCH_STRICT, RunConfig
+from .config import RunConfig
+from .errors import ConfigError
 from .harness import stream_batches
 from .history import HistoryStore
 from .memory import ExactNeighborLog, TemporalDiverseMemory
@@ -98,10 +99,8 @@ def check_stream(num_nodes: int, num_events: int, long_width: int,
     for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
         if ev[0] - 1 in stops:
             _audit_pairs(tdm, log, report)
-        for j, e in enumerate(ev):
-            log.apply_link_update(int(g.src[e]), int(g.dst[e]), squ.row(j),
-                                  sqv.row(j), two_order=two_order,
-                                  neighbor_update=neighbor_update)
+        log.apply_link_update(g.src[ev], g.dst[ev], squ, sqv, two_order,
+                              neighbor_update)
     _audit_pairs(tdm, log, report)     # the last stop is the last event
     return report
 
@@ -114,6 +113,9 @@ def run_suite(streams: int = 100, max_nodes: int = 30, max_events: int = 500,
     collisions (exercising the injectivity filter) and values large enough
     to stay collision-free for every id.
     """
+    if streams < 1 or max_nodes < 5 or max_events < 20 or seed < 0:
+        raise ConfigError("the suite needs streams >= 1, max_nodes >= 5, "
+                          "max_events >= 20 and seed >= 0")
     rng = np.random.default_rng([seed, 0x0AC])
     widths = (16, 32, 64, 512)
     reports = []

@@ -77,26 +77,23 @@ def test_02_worked_structure_encoding_example():
         tdm.long.insert(a, s)
         tdm.long.insert(v, s + 8)
 
-    from coneighbor.history import NeighborSequence
-
-    def seq(anchor, peers):
-        peers = np.asarray(peers, dtype=np.int64)
-        return NeighborSequence(anchor, 1.0, peers,
-                                np.zeros(peers.size),
-                                np.full(peers.size, -1, dtype=np.int64),
-                                np.ones(peers.size, dtype=bool))
+    def long_counts(own, other, peers):
+        """One 1-row window counted against its anchor and the other."""
+        lng, _ = tdm.co_encode_batch([own], [other], np.array([peers]),
+                                     np.ones((1, len(peers)), dtype=bool))
+        return lng[0]
 
     pair_counts = (tdm.long.co_count(u, a), tdm.long.co_count(u, v),
                    tdm.long.co_count(v, a))
-    fu, fv = tdm.co_encode(u, v, seq(u, [u, a, a]), seq(v, [v, a, u]))
+    fu, fv = long_counts(u, v, [u, a, a]), long_counts(v, u, [v, a, u])
     want_u = np.array([[8, 5], [4, 1], [4, 1]])
     want_v = np.array([[8, 5], [1, 4], [5, 8]])
     ok = (pair_counts == (4, 5, 1)
-          and np.array_equal(fu.long, want_u)
-          and np.array_equal(fv.long, want_v))
+          and np.array_equal(fu, want_u)
+          and np.array_equal(fv, want_v))
     _gate("worked-example", ok,
-          f"pair counts {pair_counts}, u rows {fu.long.tolist()}, "
-          f"v rows {fv.long.tolist()}")
+          f"pair counts {pair_counts}, u rows {fu.tolist()}, "
+          f"v rows {fv.tolist()}")
 
 
 # -- 3: analytic gradients equal finite differences ---------------------

@@ -38,6 +38,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# stored configs that are not a valid RunConfig, as JSON text
+BAD_STORED_CONFIGS = {"config_null": "null", "config_list": "[1, 2]",
+                      "config_str": '"x"', "config_seq_len_0": '{"seq_len": 0}',
+                      "config_seq_len_str": '{"seq_len": "x"}'}
+
+
 class TestExitCodes:
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run_cli("explode") == EXIT_USAGE
@@ -82,6 +88,28 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == (
             "data error: line 2: node id -2 is negative\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["sweep", "--axis", "sequence_length", "--values", "8,x"],
+        ["bench", "--seed", "-1"],
+        ["bench", "--nodes", "1"],
+        ["bench", "--batch-size", "0"],
+        ["bench", "--repeats", "0"],
+        ["oracle-check", "--seed", "-1"],
+        ["oracle-check", "--max-nodes", "3"],
+        ["oracle-check", "--max-events", "5"],
+        ["oracle-check", "--streams", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_value_is_usage_error(self, csv_path, tmp_path,
+                                               capsys, argv):
+        if argv[0] in ("train", "sweep"):
+            argv = argv[:1] + ["--data", csv_path, *FAST] + argv[1:]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTrain:
@@ -261,7 +289,8 @@ class TestEval:
                               "stream") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz",
-                                      "missing_param", "bad_shape"])
+                                      "missing_param", "bad_shape",
+                                      *BAD_STORED_CONFIGS])
     def test_bad_checkpoint_is_data_error(self, csv_path, trained, tmp_path,
                                           capsys, kind):
         path = tmp_path / "ckpt.npz"
@@ -276,14 +305,18 @@ class TestEval:
                 entries = dict(z)
             if kind == "missing_param":
                 del entries["out_w"]
-            else:
+            elif kind == "bad_shape":
                 entries["fuse0_w"] = entries["fuse0_w"][:-1]
+            else:
+                entries["__config__"] = np.array(BAD_STORED_CONFIGS[kind])
             np.savez(path, **entries)
         code = run_cli("eval", "--data", csv_path, "--out",
                        str(tmp_path / "eval"), "--checkpoint", str(path))
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+        if kind in BAD_STORED_CONFIGS:
+            assert str(path) in err
 
 
 class TestSweep:

@@ -22,7 +22,7 @@ class TestValidate:
         dict(hidden=0), dict(out_dim=0), dict(layers=0),
         dict(dropout=-0.1), dict(dropout=1.0), dict(lr=-1e-4),
         dict(batch_size=0), dict(epochs=0), dict(patience=0),
-        dict(neg_ratio=0),
+        dict(neg_ratio=0), dict(seed=-1),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):

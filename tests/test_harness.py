@@ -497,3 +497,12 @@ class TestWriteJson:
         text = path.read_text()
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_and_writes_nothing(self, tmp_path,
+                                                        value):
+        from coneighbor.errors import NumericalError
+        path = tmp_path / "m.json"
+        with pytest.raises(NumericalError, match="m.json"):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()

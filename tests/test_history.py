@@ -7,71 +7,80 @@ from coneighbor.errors import OrderingError
 from coneighbor.history import NO_EDGE, HistoryStore
 
 
+def record(h, u, v, t, idx):
+    h.record_batch([u], [v], [t], [idx])
+
+
+def window(h, anchor, t, length):
+    """anchor's window at query time t, as a 1-row batch."""
+    return h.recent_batch([anchor], [t], length)
+
+
 def log_entries(h, node, length=64):
     """Entries in node's log: a window after every event, long enough for all."""
-    window = h.recent_sequence(node, 1e9, length)
-    assert not window.valid[-1]
-    return int(window.valid[1:].sum())
+    valid = window(h, node, 1e9, length).valid[0]
+    assert not valid[-1]
+    return int(valid[1:].sum())
 
 
 def test_record_is_symmetric():
     h = HistoryStore(4)
-    h.record(0, 1, 1.0, 0)
+    record(h, 0, 1, 1.0, 0)
     assert [log_entries(h, n) for n in range(3)] == [1, 1, 0]
 
 
 def test_out_of_order_rejected():
     h = HistoryStore(4)
-    h.record(0, 1, 5.0, 0)
+    record(h, 0, 1, 5.0, 0)
     with pytest.raises(OrderingError):
-        h.record(1, 2, 3.0, 1)
+        record(h, 1, 2, 3.0, 1)
 
 
 def test_equal_timestamps_both_kept():
     h = HistoryStore(4)
-    h.record(0, 1, 5.0, 0)
-    h.record(0, 2, 5.0, 1)
-    seq = h.recent_sequence(0, 6.0, 4)
-    np.testing.assert_array_equal(seq.peers[:3], [0, 2, 1])  # newest first
+    record(h, 0, 1, 5.0, 0)
+    record(h, 0, 2, 5.0, 1)
+    seq = window(h, 0, 6.0, 4)
+    np.testing.assert_array_equal(seq.peers[0, :3], [0, 2, 1])  # newest first
 
 
 def test_no_history_is_self_plus_padding():
     h = HistoryStore(3)
-    seq = h.recent_sequence(1, 2.0, 3)
-    np.testing.assert_array_equal(seq.peers, [1, 3, 3])
-    np.testing.assert_array_equal(seq.valid, [True, False, False])
-    np.testing.assert_array_equal(seq.dt, [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(seq.eidx, [NO_EDGE, NO_EDGE, NO_EDGE])
+    seq = window(h, 1, 2.0, 3)
+    np.testing.assert_array_equal(seq.peers[0], [1, 3, 3])
+    np.testing.assert_array_equal(seq.valid[0], [True, False, False])
+    np.testing.assert_array_equal(seq.dt[0], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(seq.eidx[0], [NO_EDGE, NO_EDGE, NO_EDGE])
 
 
 def test_repeated_partner_window():
     # u meets a at t=1 and t=2; at t=3 the window of length 3 is [u, a, a]
     h = HistoryStore(2)
     u, a = 0, 1
-    h.record(u, a, 1.0, 0)
-    h.record(u, a, 2.0, 1)
-    seq = h.recent_sequence(u, 3.0, 3)
-    np.testing.assert_array_equal(seq.peers, [u, a, a])
-    np.testing.assert_allclose(seq.dt, [0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(seq.eidx, [NO_EDGE, 1, 0])
-    assert seq.valid.all()
+    record(h, u, a, 1.0, 0)
+    record(h, u, a, 2.0, 1)
+    seq = window(h, u, 3.0, 3)
+    np.testing.assert_array_equal(seq.peers[0], [u, a, a])
+    np.testing.assert_allclose(seq.dt[0], [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(seq.eidx[0], [NO_EDGE, 1, 0])
+    assert seq.valid[0].all()
 
 
 def test_strictly_before_query_time():
     h = HistoryStore(3)
-    h.record(0, 1, 2.0, 0)
-    h.record(0, 2, 3.0, 1)
-    seq = h.recent_sequence(0, 3.0, 3)   # the t=3 event must not be visible
-    np.testing.assert_array_equal(seq.peers, [0, 1, 3])
+    record(h, 0, 1, 2.0, 0)
+    record(h, 0, 2, 3.0, 1)
+    seq = window(h, 0, 3.0, 3)   # the t=3 event must not be visible
+    np.testing.assert_array_equal(seq.peers[0], [0, 1, 3])
 
 
 def test_window_drops_oldest():
     h = HistoryStore(12)
     for i in range(10):
-        h.record(0, i + 1, float(i), i)
-    seq = h.recent_sequence(0, 100.0, 4)
-    np.testing.assert_array_equal(seq.peers, [0, 10, 9, 8])
-    np.testing.assert_allclose(seq.dt, [0.0, 91.0, 92.0, 93.0])
+        record(h, 0, i + 1, float(i), i)
+    seq = window(h, 0, 100.0, 4)
+    np.testing.assert_array_equal(seq.peers[0], [0, 10, 9, 8])
+    np.testing.assert_allclose(seq.dt[0], [0.0, 91.0, 92.0, 93.0])
 
 
 def test_batch_matches_single(rng):
@@ -80,22 +89,20 @@ def test_batch_matches_single(rng):
     for i in range(60):
         u, v = rng.choice(8, 2, replace=False)
         t += float(rng.random())
-        h.record(int(u), int(v), t, i)
+        record(h, int(u), int(v), t, i)
     anchors = rng.integers(0, 8, 20)
     times = np.sort(rng.uniform(0, t, 20))
     batch = h.recent_batch(anchors, times, 5)
     for i in range(20):
-        single = h.recent_sequence(int(anchors[i]), float(times[i]), 5)
-        row = batch.row(i)
-        np.testing.assert_array_equal(row.peers, single.peers)
-        np.testing.assert_array_equal(row.dt, single.dt)
-        np.testing.assert_array_equal(row.eidx, single.eidx)
-        np.testing.assert_array_equal(row.valid, single.valid)
+        single = window(h, int(anchors[i]), float(times[i]), 5)
+        for name in ("peers", "dt", "eidx", "valid"):
+            np.testing.assert_array_equal(getattr(batch, name)[i],
+                                          getattr(single, name)[0])
 
 
 def test_record_batch_rejects_decrease_within_batch():
     h = HistoryStore(4)
-    h.record(0, 1, 1.0, 0)
+    record(h, 0, 1, 1.0, 0)
     with pytest.raises(OrderingError):
         # node 2 sees t=5 and then t=4 inside the one batch
         h.record_batch([2, 0, 1], [3, 1, 2], [5.0, 6.0, 4.0], [1, 2, 3])
@@ -121,17 +128,19 @@ def oracle_window(events, anchor, query_t, length):
 
 def assert_rows_match_oracle(batch, events, sentinel):
     for i in range(len(batch)):
-        row = batch.row(i)
-        want = oracle_window(events, row.anchor, row.t, len(row))
+        anchor, t = batch.anchors[i], batch.t[i]
+        peers, dt, eidx, valid = (batch.peers[i], batch.dt[i],
+                                  batch.eidx[i], batch.valid[i])
+        want = oracle_window(events, anchor, t, peers.size)
         n = 1 + len(want)
-        assert row.peers[0] == row.anchor and row.valid[0]
-        assert row.dt[0] == 0.0 and row.eidx[0] == NO_EDGE
-        assert [int(p) for p in row.peers[1:n]] == [e[0] for e in want]
-        assert list(row.dt[1:n]) == [row.t - e[1] for e in want]
-        assert [int(e) for e in row.eidx[1:n]] == [e[2] for e in want]
-        assert row.valid[:n].all() and not row.valid[n:].any()
-        assert (row.peers[n:] == sentinel).all()
-        assert (row.eidx[n:] == NO_EDGE).all() and (row.dt[n:] == 0).all()
+        assert peers[0] == anchor and valid[0]
+        assert dt[0] == 0.0 and eidx[0] == NO_EDGE
+        assert [int(p) for p in peers[1:n]] == [e[0] for e in want]
+        assert list(dt[1:n]) == [t - e[1] for e in want]
+        assert [int(e) for e in eidx[1:n]] == [e[2] for e in want]
+        assert valid[:n].all() and not valid[n:].any()
+        assert (peers[n:] == sentinel).all()
+        assert (eidx[n:] == NO_EDGE).all() and (dt[n:] == 0).all()
 
 
 @pytest.mark.parametrize("length", range(1, 10))
@@ -245,21 +254,21 @@ def test_sequence_matches_enumeration_oracle(events, cuts, anchor, query_t,
         if v == anchor:
             log.append((u, t, i))
 
-    seq = h.recent_sequence(anchor, query_t, length)
+    seq = window(h, anchor, query_t, length)
     past = [e for e in log if e[1] < query_t]
     want = list(reversed(past))[:length - 1]
 
-    assert len(seq) == length
-    assert seq.peers[0] == anchor and seq.valid[0]
-    assert seq.dt[0] == 0.0
+    assert seq.peers.shape == (1, length)
+    assert seq.peers[0, 0] == anchor and seq.valid[0, 0]
+    assert seq.dt[0, 0] == 0.0
     got = [(int(p), float(query_t - d), int(e))
-           for p, d, e, ok in zip(seq.peers[1:], seq.dt[1:],
-                                  seq.eidx[1:], seq.valid[1:]) if ok]
+           for p, d, e, ok in zip(seq.peers[0, 1:], seq.dt[0, 1:],
+                                  seq.eidx[0, 1:], seq.valid[0, 1:]) if ok]
     approx = [(p, pytest.approx(t), i) for p, t, i in want]
     assert got == approx
     # padding after the valid prefix
     n_valid = 1 + len(want)
-    assert not seq.valid[n_valid:].any()
-    assert (seq.peers[n_valid:] == 6).all()
+    assert not seq.valid[0, n_valid:].any()
+    assert (seq.peers[0, n_valid:] == 6).all()
     # strict causality: every valid non-self delta is positive
-    assert (seq.dt[1:][seq.valid[1:]] > 0).all()
+    assert (seq.dt[0, 1:][seq.valid[0, 1:]] > 0).all()

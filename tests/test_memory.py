@@ -6,22 +6,43 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
-from coneighbor.errors import ConfigError, ProtocolError
-from coneighbor.history import (HistoryStore, NeighborSequence,
-                                NeighborSequenceBatch)
+from coneighbor.errors import ConfigError
+from coneighbor.harness import _take
+from coneighbor.history import HistoryStore, NeighborSequenceBatch
 from coneighbor.memory import (ExactNeighborLog, HashTableMemory,
                                TemporalDiverseMemory, check_slot_consistency,
                                slot_injective)
 
 
-def seq(anchor, peers, t=1.0, valid=None):
+def windows(anchors, peers, valid=None):
+    """A window batch, one row per anchor, with dt 0 and no edges."""
     peers = np.asarray(peers, dtype=np.int64)
-    k = peers.size
-    if valid is None:
-        valid = np.ones(k, dtype=bool)
-    return NeighborSequence(anchor, t, peers, np.zeros(k),
-                            np.full(k, -1, dtype=np.int64),
-                            np.asarray(valid, dtype=bool))
+    valid = (np.ones(peers.shape, dtype=bool) if valid is None
+             else np.asarray(valid, dtype=bool))
+    return NeighborSequenceBatch(np.asarray(anchors, dtype=np.int64),
+                                 np.ones(len(peers)), peers,
+                                 np.zeros(peers.shape),
+                                 np.full(peers.shape, -1, dtype=np.int64),
+                                 valid)
+
+
+def seq(anchor, peers, valid=None):
+    """anchor's window as a 1-row batch."""
+    return windows([anchor], [peers], None if valid is None else [valid])
+
+
+def rows(batch, j):
+    """Row j of a window batch, as a 1-row batch."""
+    return _take(batch, slice(j, j + 1))
+
+
+def encode_pair(tdm, u, v, seq_u, seq_v, mode=MATCH_PAPER):
+    """((long, short) of u's side, (long, short) of v's side), each
+    (l, 2): a 1-row window counted against its anchor and the other."""
+    return tuple(
+        tuple(c[0] for c in tdm.co_encode_batch([own], [other], s.peers,
+                                                  s.valid, mode))
+        for own, other, s in ((u, v, seq_u), (v, u, seq_v)))
 
 
 class TestHashTableBasics:
@@ -338,43 +359,40 @@ class TestWorkedExample:
 
     def test_sequence_encoding(self):
         tdm, u, v, a = self.build()
-        fu, fv = tdm.co_encode(u, v, seq(u, [u, a, a]), seq(v, [v, a, u]))
-        np.testing.assert_array_equal(fu.long, [[8, 5], [4, 1], [4, 1]])
-        np.testing.assert_array_equal(fv.long, [[8, 5], [1, 4], [5, 8]])
-        np.testing.assert_array_equal(fu.short, np.full((3, 2), 4))
+        (lu, su), (lv, _) = encode_pair(tdm, u, v, seq(u, [u, a, a]),
+                                        seq(v, [v, a, u]))
+        np.testing.assert_array_equal(lu, [[8, 5], [4, 1], [4, 1]])
+        np.testing.assert_array_equal(lv, [[8, 5], [1, 4], [5, 8]])
+        np.testing.assert_array_equal(su, np.full((3, 2), 4))
 
     def test_strict_mode_differs_on_self(self):
         tdm, u, v, a = self.build()
-        fu, _ = tdm.co_encode(u, v, seq(u, [u, a, a]), seq(v, [v, a, u]),
-                              mode=MATCH_STRICT)
+        (lu, _), _ = encode_pair(tdm, u, v, seq(u, [u, a, a]),
+                                 seq(v, [v, a, u]), mode=MATCH_STRICT)
         # all 8 of u's slots are filled, so the self pair still reads 8
-        np.testing.assert_array_equal(fu.long[0], [8, 5])
-
-    def test_timestamp_mismatch_rejected(self):
-        tdm, u, v, a = self.build()
-        with pytest.raises(ProtocolError):
-            tdm.co_encode(u, v, seq(u, [u], t=1.0), seq(v, [v], t=2.0))
+        np.testing.assert_array_equal(lu[0], [8, 5])
 
 
 class TestCoEncode:
     def test_empty_tables_strict_all_zero_except_flags(self):
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
-        fu, fv = tdm.co_encode(0, 1, seq(0, [0, 6, 6], valid=[1, 0, 0]),
-                               seq(1, [1, 6, 6], valid=[1, 0, 0]),
-                               mode=MATCH_STRICT)
-        np.testing.assert_array_equal(fu.long, np.zeros((3, 2)))
-        np.testing.assert_array_equal(fu.short, np.zeros((3, 2)))
+        (lu, su), _ = encode_pair(tdm, 0, 1,
+                                  seq(0, [0, 6, 6], valid=[1, 0, 0]),
+                                  seq(1, [1, 6, 6], valid=[1, 0, 0]),
+                                  mode=MATCH_STRICT)
+        np.testing.assert_array_equal(lu, np.zeros((3, 2)))
+        np.testing.assert_array_equal(su, np.zeros((3, 2)))
 
     def test_padding_overridden_per_mode(self):
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
         tdm.long.insert(0, 2)    # partially filled row
         s_u = seq(0, [0, 2, 6], valid=[1, 1, 0])
         s_v = seq(1, [1, 6, 6], valid=[1, 0, 0])
-        fu, fv = tdm.co_encode(0, 1, s_u, s_v, mode=MATCH_PAPER)
-        assert fu.long[2, 0] == 8 and fu.long[2, 1] == 8
-        assert fv.long[1, 0] == 8 and fv.long[2, 0] == 8
-        fu, fv = tdm.co_encode(0, 1, s_u, s_v, mode=MATCH_STRICT)
-        assert fu.long[2, 0] == 0 and fv.long[1, 0] == 0
+        (lu, _), (lv, _) = encode_pair(tdm, 0, 1, s_u, s_v, mode=MATCH_PAPER)
+        assert lu[2, 0] == 8 and lu[2, 1] == 8
+        assert lv[1, 0] == 8 and lv[2, 0] == 8
+        (lu, _), (lv, _) = encode_pair(tdm, 0, 1, s_u, s_v, mode=MATCH_STRICT)
+        assert lu[2, 0] == 0 and lv[1, 0] == 0
 
     @pytest.mark.parametrize("mode", [MATCH_PAPER, MATCH_STRICT])
     def test_several_other_anchors_equal_one_at_a_time(self, rng, mode):
@@ -419,7 +437,7 @@ class TestCoEncode:
 class TestLinkUpdate:
     def test_first_order_only(self):
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
-        tdm.apply_link_update(0, 1, seq(0, [0]), seq(1, [1]),
+        tdm.apply_link_update([0], [1], seq(0, [0]), seq(1, [1]),
                               two_order=False, neighbor_update=False)
         for mem in (tdm.long, tdm.short):
             assert mem.table[0, mem.slot_of(1)] == 1
@@ -431,7 +449,7 @@ class TestLinkUpdate:
         # the neighbor rule gives H_a <- u
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
         u, v, a = 0, 1, 2
-        tdm.apply_link_update(u, v, seq(u, [u]), seq(v, [v, a]))
+        tdm.apply_link_update([u], [v], seq(u, [u]), seq(v, [v, a]))
         L = tdm.long
         assert L.table[u, L.slot_of(v)] == v
         assert L.table[u, L.slot_of(a)] == a
@@ -446,7 +464,7 @@ class TestLinkUpdate:
         def run(order):
             tdm = TemporalDiverseMemory(12, 8, 4, 1, 3)
             for u, v in order:
-                tdm.apply_link_update(u, v, seq(u, [u]), seq(v, [v]),
+                tdm.apply_link_update([u], [v], seq(u, [u]), seq(v, [v]),
                                       two_order=False, neighbor_update=False)
             return tdm.long.table[0].copy()
 
@@ -458,20 +476,20 @@ class TestLinkUpdate:
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
         s_u = seq(0, [0, 6, 6], valid=[1, 0, 0])
         s_v = seq(1, [1, 6, 6], valid=[1, 0, 0])
-        tdm.apply_link_update(0, 1, s_u, s_v)
+        tdm.apply_link_update([0], [1], s_u, s_v)
         check_slot_consistency(tdm.long)
         check_slot_consistency(tdm.short)
 
     def test_two_order_inserts_follow_sequence_order(self):
         # 1 then 9 collide in the long table; the later entry must win
         tdm = TemporalDiverseMemory(12, 8, 4, 1, 3)
-        tdm.apply_link_update(0, 1, seq(0, [0]), seq(1, [1, 1, 9]),
+        tdm.apply_link_update([0], [1], seq(0, [0]), seq(1, [1, 1, 9]),
                               neighbor_update=False)
         assert tdm.long.table[0, 1] == 9
 
     def test_short_table_skipped_on_request(self):
         tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
-        tdm.apply_link_update(0, 1, seq(0, [0]), seq(1, [1]),
+        tdm.apply_link_update([0], [1], seq(0, [0]), seq(1, [1]),
                               update_short=False)
         assert (tdm.short.table == tdm.short.sentinel).all()
         assert (tdm.long.table != tdm.long.sentinel).sum() == 2
@@ -480,8 +498,8 @@ class TestLinkUpdate:
 def _insert_one_by_one(tdm, u, v, seq_u, seq_v, two_order, neighbor_update,
                        update_short):
     """Reference: one link's writes as scalar inserts, in rule order."""
-    peers_u = seq_u.peers[1:][seq_u.valid[1:]]
-    peers_v = seq_v.peers[1:][seq_v.valid[1:]]
+    peers_u = seq_u.peers[0, 1:][seq_u.valid[0, 1:]]
+    peers_v = seq_v.peers[0, 1:][seq_v.valid[0, 1:]]
     writes = [(u, v), (v, u)]
     if two_order:
         writes += [(u, int(j)) for j in peers_v] + [(v, int(i)) for i in peers_u]
@@ -528,10 +546,10 @@ def test_batched_update_equals_event_loop(seed, B, len_u, len_v, widths,
                 mem.insert(int(row), int(val))
     batched.apply_link_update(u, v, squ, sqv, **flags)
     for j in range(B):
-        looped.apply_link_update(int(u[j]), int(v[j]), squ.row(j),
-                                 sqv.row(j), **flags)
-        _insert_one_by_one(ref, int(u[j]), int(v[j]), squ.row(j),
-                           sqv.row(j), **flags)
+        looped.apply_link_update(u[j:j + 1], v[j:j + 1], rows(squ, j),
+                                 rows(sqv, j), **flags)
+        _insert_one_by_one(ref, int(u[j]), int(v[j]), rows(squ, j),
+                           rows(sqv, j), **flags)
     for other in (looped, ref):
         np.testing.assert_array_equal(batched.long.table, other.long.table)
         np.testing.assert_array_equal(batched.short.table, other.short.table)
@@ -555,20 +573,54 @@ class TestShortLongDivergence:
 class TestExactOracle:
     def test_disjoint_neighborhoods(self):
         log = ExactNeighborLog(10)
-        log.apply_link_update(0, 1, seq(0, [0]), seq(1, [1]),
+        log.apply_link_update([0], [1], seq(0, [0]), seq(1, [1]),
                               two_order=False, neighbor_update=False)
-        log.apply_link_update(2, 3, seq(2, [2]), seq(3, [3]),
+        log.apply_link_update([2], [3], seq(2, [2]), seq(3, [3]),
                               two_order=False, neighbor_update=False)
         assert log.common(0, 2) == 0
 
     def test_identical_neighborhoods(self):
         log = ExactNeighborLog(10)
         for nb in (2, 3, 4):
-            log.apply_link_update(0, nb, seq(0, [0]), seq(nb, [nb]),
+            log.apply_link_update([0], [nb], seq(0, [0]), seq(nb, [nb]),
                                   two_order=False, neighbor_update=False)
-            log.apply_link_update(1, nb, seq(1, [1]), seq(nb, [nb]),
+            log.apply_link_update([1], [nb], seq(1, [1]), seq(nb, [nb]),
                                   two_order=False, neighbor_update=False)
         assert log.common(0, 1) == 3
+
+    # three links: (0, 1) and (1, 2) share node 1, and (3, 3) is a
+    # self-loop.  Windows are those before the batch, padded with the
+    # sentinel 8.
+    LINKS = ([0, 1, 3], [1, 2, 3])
+    WINDOWS = {0: ([0, 4, 8], [1, 1, 0]), 1: ([1, 5, 8], [1, 1, 0]),
+               2: ([2, 8, 8], [1, 0, 0]), 3: ([3, 6, 7], [1, 1, 1])}
+    # each rule's additions per node: (1) the other endpoint, (2) the
+    # other endpoint's past partners, (3) partners learn the endpoint
+    FIRST = [{1}, {0, 2}, {1}, {3}, set(), set(), set(), set()]
+    TWO_ORDER = [{5}, {4}, {5}, {6, 7}, set(), set(), set(), set()]
+    NEIGHBOR = [set(), set(), set(), set(), {1}, {0, 2}, {3}, {3}]
+
+    def window_batch(self, anchors):
+        peers, valid = zip(*(self.WINDOWS[a] for a in anchors))
+        return windows(anchors, peers, valid)
+
+    @pytest.mark.parametrize("two_order", [True, False])
+    @pytest.mark.parametrize("neighbor_update", [True, False])
+    def test_batch_equals_hand_computed_and_slices_in_order(
+            self, two_order, neighbor_update):
+        u, v = (np.array(x) for x in self.LINKS)
+        squ, sqv = (self.window_batch(x) for x in self.LINKS)
+        batched, sliced = ExactNeighborLog(8), ExactNeighborLog(8)
+        batched.apply_link_update(u, v, squ, sqv, two_order, neighbor_update)
+        for j in range(u.size):
+            sliced.apply_link_update(u[j:j + 1], v[j:j + 1], rows(squ, j),
+                                     rows(sqv, j), two_order, neighbor_update)
+        rules = [self.FIRST] + [r for on, r in ((two_order, self.TWO_ORDER),
+                                                (neighbor_update, self.NEIGHBOR))
+                                if on]
+        want = [set().union(*sets) for sets in zip(*rules)]
+        assert [batched.stored(a) for a in range(8)] == want
+        assert [sliced.stored(a) for a in range(8)] == want
 
     def test_instance_equivalence_with_searched_q(self, rng):
         """Random stream; find (q, M) injective, then counts must agree."""
@@ -585,11 +637,11 @@ class TestExactOracle:
         for i in range(300):
             u = int(rng.integers(n))
             v = (u + 1 + int(rng.integers(n - 1))) % n
-            squ = hist.recent_sequence(u, float(i), 4)
-            sqv = hist.recent_sequence(v, float(i), 4)
-            tdm.apply_link_update(u, v, squ, sqv)
-            log.apply_link_update(u, v, squ, sqv)
-            hist.record(u, v, float(i), i)
+            squ = hist.recent_batch([u], [float(i)], 4)
+            sqv = hist.recent_batch([v], [float(i)], 4)
+            tdm.apply_link_update([u], [v], squ, sqv)
+            log.apply_link_update([u], [v], squ, sqv)
+            hist.record_batch([u], [v], [float(i)], [i])
         for a in range(n):
             for b in range(a + 1, n):
                 assert tdm.long.co_count(a, b, MATCH_STRICT) == log.common(a, b)
@@ -616,11 +668,11 @@ def test_collision_free_equivalence_property(seed, n, events):
     for i in range(events):
         u = int(r.integers(n))
         v = (u + 1 + int(r.integers(n - 1))) % n
-        squ = hist.recent_sequence(u, float(i), 3)
-        sqv = hist.recent_sequence(v, float(i), 3)
-        tdm.apply_link_update(u, v, squ, sqv)
-        log.apply_link_update(u, v, squ, sqv)
-        hist.record(u, v, float(i), i)
+        squ = hist.recent_batch([u], [float(i)], 3)
+        sqv = hist.recent_batch([v], [float(i)], 3)
+        tdm.apply_link_update([u], [v], squ, sqv)
+        log.apply_link_update([u], [v], squ, sqv)
+        hist.record_batch([u], [v], [float(i)], [i])
     check_slot_consistency(tdm.long)
     a, b = int(r.integers(n)), int(r.integers(n))
     assert tdm.long.co_count(a, b, MATCH_STRICT) == log.common(a, b)

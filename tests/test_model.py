@@ -682,6 +682,15 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="__stream__"):
             load_params(path)
 
+    @pytest.mark.parametrize("config", ["null", "[1, 2]", '"x"'])
+    def test_malformed_config_rejected(self, tmp_path, config):
+        path = tmp_path / "bad.npz"
+        np.savez(path, __version__=PARAMS_VERSION, __dims__=np.arange(6),
+                 __config__=np.array(config), __stream__=np.array("{}"),
+                 w=np.zeros(2))
+        with pytest.raises(CheckpointError, match="__config__"):
+            load_params(path)
+
 
 class TestDeterminism:
     def test_loss_and_grads_bitwise_repeatable(self, rng):

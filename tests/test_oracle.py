@@ -52,7 +52,8 @@ class TestAuditTiming:
         count(TemporalDiverseMemory, "apply_link_update", "tables",
               lambda a: np.size(a[1]))
         count(HistoryStore, "record_batch", "history", lambda a: np.size(a[1]))
-        count(ExactNeighborLog, "apply_link_update", "log", lambda a: 1)
+        count(ExactNeighborLog, "apply_link_update", "log",
+              lambda a: np.size(a[1]))
         audit = oracle._audit_pairs
 
         def spy_audit(tdm, log, report):
@@ -73,15 +74,15 @@ class TestAuditDetectsCorruption:
         log = ExactNeighborLog(6)
         hist = HistoryStore(6)
         for i, (u, v) in enumerate([(0, 1), (1, 2), (0, 3)]):
-            squ = hist.recent_sequence(u, float(i), 3)
-            sqv = hist.recent_sequence(v, float(i), 3)
-            tdm.apply_link_update(u, v, squ, sqv)
-            log.apply_link_update(u, v, squ, sqv)
-            hist.record(u, v, float(i), i)
+            squ = hist.recent_batch([u], [float(i)], 3)
+            sqv = hist.recent_batch([v], [float(i)], 3)
+            tdm.apply_link_update([u], [v], squ, sqv)
+            log.apply_link_update([u], [v], squ, sqv)
+            hist.record_batch([u], [v], [float(i)], [i])
         # one extra write applied to the log only; (2,3) already share
         # neighbors, so several pair intersections shift
-        log.apply_link_update(2, 3, hist.recent_sequence(2, 9.0, 3),
-                              hist.recent_sequence(3, 9.0, 3))
+        log.apply_link_update([2], [3], hist.recent_batch([2], [9.0], 3),
+                              hist.recent_batch([3], [9.0], 3))
         report = StreamReport(0, 6, 4, 64, 16)
         _audit_pairs(tdm, log, report)
         assert not report.ok
