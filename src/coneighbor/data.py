@@ -4,6 +4,15 @@ An event stream is a timestamp-sorted sequence of interactions (src, dst, t)
 with optional per-event feature vectors.  Node ids are re-indexed to a dense
 0..num_nodes-1 range on load; the value ``num_nodes`` itself is reserved as
 the padding sentinel throughout the package and never appears as an endpoint.
+
+CSV files are parsed two ways, and no option chooses between them.  A file
+whose event cells are all plain numbers, in the spellings numpy's tokenizer
+reads, is parsed a column at a time by one ``np.loadtxt`` call.  If that
+parse raises for any reason, the row reader parses the file again with the
+csv module and Python's ``int`` and ``float``: it alone reads ``3.0`` ids,
+quoted cells, ``1_000`` and non-numeric labels, and it alone decides every
+error and line number.  The two give the same graph wherever both accept a
+file.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import warnings
 from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,6 +29,7 @@ import numpy as np
 
 from .config import INDUCTIVE, TRANSDUCTIVE
 from .errors import (
+    ConfigError,
     DataError,
     EmptyInputError,
     EmptyMaskError,
@@ -43,6 +54,11 @@ class CsvLayout:
     has_header: bool | None = None
     label_column: bool | None = None
     delimiter: str = ","
+
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, not "
+                              f"{self.delimiter!r}")
 
 
 @dataclass
@@ -145,6 +161,21 @@ def _event_line(path: Path, fmt: CsvLayout, has_header: bool,
         return next(itertools.islice(lines, index + bool(has_header), None))
 
 
+def _feature_start(path: Path, fmt: CsvLayout, ncols: int) -> int:
+    """Index of the first feature column, given the first event row's
+    column count; the label column, sniffed or told, sits before it."""
+    if ncols < 3:
+        raise SchemaError(
+            f"{path}: need at least src,dst,t columns, got {ncols}")
+    has_label = fmt.label_column
+    if has_label is None:
+        has_label = ncols >= 4
+    if has_label and ncols < 4:
+        raise SchemaError(
+            f"{path}: label column requested but only {ncols} columns")
+    return 4 if has_label else 3
+
+
 def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph:
     """Load a CSV event stream, sort it by time, and densify node ids.
 
@@ -153,14 +184,65 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
     not an integer (``1.5``, ``inf``, ``nan``), is negative or does not fit
     in int64.  Sorting is stable, so events sharing a timestamp keep their
     file order.
+
+    Well-formed files take ``_parse_columns``; the rest take ``_load_rows``
+    (see the module docstring).
     """
     path = Path(path)
+    try:
+        has_header, src, dst, t, feats = _parse_columns(path, fmt)
+    except Exception:
+        return _load_rows(path, fmt)
+    return _to_graph(path, fmt, has_header, src, dst, t, feats)
+
+
+def _parse_columns(path: Path, fmt: CsvLayout):
+    """The header sniff on the first rows, then one ``np.loadtxt`` pass.
+
+    Every cell is parsed as a number, the label too, so that a quote, a
+    ``#`` or a ragged row makes loadtxt raise instead of splitting a row
+    otherwise than the csv module; ``usecols`` would switch off loadtxt's
+    per-row column count check.  Raises StopIteration when there is no
+    event row, and turns any warning loadtxt gives into an error, so the
+    row reader decides every file loadtxt does not read cleanly.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh, delimiter=fmt.delimiter)
+        rows = (row for row in reader if row)
+        row = next(rows)
+        has_header = fmt.has_header
+        if has_header is None:
+            has_header = _sniff_header(row)
+        skip = reader.line_num if has_header else 0
+        if has_header:
+            row = next(rows)
+        ncols = len(row)
+        feat_start = _feature_start(path, fmt, ncols)
+        fields = [("src", "<i8"), ("dst", "<i8"), ("t", "<f8")]
+        if ncols > 3:
+            fields.append(("rest", "<f8", (ncols - 3,)))
+        fh.seek(0)
+        # a warning is a refusal too: some numpy 2.x releases read an int
+        # via a float (so ``1.5`` as 1) with only a DeprecationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(fh, dtype=fields, delimiter=fmt.delimiter,
+                              comments=None, quotechar=None, skiprows=skip,
+                              ndmin=1)
+    feats = cols["rest"][:, feat_start - 3:] if feat_start < ncols else None
+    return has_header, cols["src"], cols["dst"], cols["t"], feats
+
+
+def _load_rows(path: Path, fmt: CsvLayout) -> TemporalGraph:
+    """load_events a row at a time with the csv module: the reader that
+    decides every error and accepts every spelling Python's int and float
+    read."""
     has_header = fmt.has_header
     seen_row = False
     ncols = None
     # int64 arrays: appending an id that does not fit raises OverflowError
     src, dst = array("q"), array("q")
-    ts, feats = [], []
+    ts, feats = array("d"), []
     with path.open(newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh, delimiter=fmt.delimiter), 1):
             if not row:
@@ -173,16 +255,8 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
                     continue
             if ncols is None:
                 ncols = len(row)
-                if ncols < 3:
-                    raise SchemaError(
-                        f"{path}: need at least src,dst,t columns, got {ncols}")
-                has_label = fmt.label_column
-                if has_label is None:
-                    has_label = ncols >= 4
-                if has_label and ncols < 4:
-                    raise SchemaError(
-                        f"{path}: label column requested but only {ncols} columns")
-                feat_start = 4 if has_label else 3
+                feat_start = _feature_start(path, fmt, ncols)
+                has_feats = feat_start < ncols
             if len(row) != ncols:
                 raise SchemaError(
                     f"{path}: line {line_no}: expected {ncols} columns, got {len(row)}")
@@ -194,7 +268,8 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
                 src.append(u)
                 dst.append(v)
                 ts.append(float(row[2]))
-                feats.append([float(c) for c in row[feat_start:]])
+                if has_feats:
+                    feats.append([float(c) for c in row[feat_start:]])
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
             except OverflowError:
@@ -203,18 +278,21 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
         raise EmptyInputError(f"{path}: no rows")
     if ncols is None:
         raise EmptyInputError(f"{path}: header only, no events")
+    return _to_graph(path, fmt, has_header, src, dst, ts,
+                     np.asarray(feats, dtype=np.float64) if has_feats else None)
 
+
+def _to_graph(path: Path, fmt: CsvLayout, has_header: bool,
+              src, dst, t, edge_feats) -> TemporalGraph:
+    """The parsed columns, in file order, as a graph; a negative id raises
+    ParseError with its line."""
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     if min(src.min(), dst.min()) < 0:
-        # rows are not numbered in the loop above; find the line only here
+        # rows are not numbered while parsing; find the line only here
         i = int(np.flatnonzero((src < 0) | (dst < 0))[0])
         raise ParseError(_event_line(path, fmt, has_header, i),
                          f"node id {min(src[i], dst[i])} is negative")
-    edge_feats = np.asarray(feats, dtype=np.float64)
-    if edge_feats.size == 0:
-        edge_feats = np.zeros((len(src), 0), dtype=np.float64)
-    return from_arrays(src, dst, np.asarray(ts, dtype=np.float64),
-                       edge_feats=edge_feats)
+    return from_arrays(src, dst, t, edge_feats=edge_feats)
 
 
 def from_arrays(src, dst, t, edge_feats=None, node_feats=None) -> TemporalGraph:

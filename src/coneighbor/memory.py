@@ -44,6 +44,9 @@ from .errors import ConfigError
 # compact slots per counting block: a block's comparison temporaries then
 # stay in a core's L2 cache
 COUNT_BLOCK_BYTES = 64 * 1024
+# decoded int64 ids per audit block; with the block's hashes and masks
+# about 1 MB of temporaries
+AUDIT_BLOCK_BYTES = 256 * 1024
 
 
 def _check_mode(mode: str) -> None:
@@ -116,10 +119,16 @@ class HashTableMemory:
     def table(self) -> np.ndarray:
         """The stored ids as a read-only int64 array; empty slots read as
         the sentinel."""
-        out = np.multiply(self.store, self.width, dtype=np.int64)
-        out += self._resid
-        np.copyto(out, self.sentinel, where=self.store == self.empty)
+        out = self._decode(self.store)
         out.flags.writeable = False
+        return out
+
+    def _decode(self, rows: np.ndarray) -> np.ndarray:
+        """Stored rows (a slice of ``store``) as int64 ids; empty slots
+        read as the sentinel."""
+        out = np.multiply(rows, self.width, dtype=np.int64)
+        out += self._resid
+        np.copyto(out, self.sentinel, where=rows == self.empty)
         return out
 
     def slot_of(self, node_id):
@@ -352,14 +361,22 @@ def slot_injective(mem: HashTableMemory, ids) -> bool:
 def check_slot_consistency(mem: HashTableMemory) -> None:
     """Audit: every stored id sits in its own hash slot; pad row untouched.
 
-    Whole-table masks, not index lists of the filled slots: on a large
-    table the audit then needs about three table-sized temporaries.
+    The store is decoded and checked a block of about AUDIT_BLOCK_BYTES of
+    int64 ids at a time, so a large table needs no table-sized temporary.
+    An id outside the valid range is reported before a misplaced id
+    anywhere in the table, as when the whole table was checked at once.
     """
-    table = mem.table                   # decoded once
-    filled = table != mem.sentinel
-    if np.any(filled & ((table < 0) | (table >= mem.num_nodes))):
-        raise AssertionError("stored value outside the valid id range")
-    if np.any(filled & (mem.slot_of(table) != np.arange(mem.width))):
+    rows = max(1, AUDIT_BLOCK_BYTES // (8 * mem.width))
+    slots = np.arange(mem.width)
+    misplaced = False
+    for lo in range(0, mem.store.shape[0], rows):
+        ids = mem._decode(mem.store[lo:lo + rows])
+        filled = ids != mem.sentinel
+        if np.any(filled & ((ids < 0) | (ids >= mem.num_nodes))):
+            raise AssertionError("stored value outside the valid id range")
+        misplaced = misplaced or bool(
+            np.any(filled & (mem.slot_of(ids) != slots)))
+    if misplaced:
         raise AssertionError("stored value found outside its hash slot")
-    if np.any(filled[mem.num_nodes]):
+    if np.any(filled[-1]):              # the last block ends in the pad row
         raise AssertionError("padding row was written")

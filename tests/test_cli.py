@@ -91,6 +91,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"],
+        ["train", "--delimiter", ""],
+        ["train", "--delimiter", "ab"],
         ["sweep", "--axis", "sequence_length", "--values", "8,x"],
         ["bench", "--seed", "-1"],
         ["bench", "--nodes", "1"],

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coneighbor import data
 from coneighbor.data import (CsvLayout, chronological_split, destination_pool,
                              from_arrays, load_events, sample_negative,
                              scored_event_mask, select_inductive_nodes,
                              train_event_indices, with_inductive)
-from coneighbor.errors import (DataError, EmptyInputError, EmptyMaskError,
-                               InsufficientDataError, ParseError, SchemaError)
+from coneighbor.errors import (ConfigError, DataError, EmptyInputError,
+                               EmptyMaskError, InsufficientDataError,
+                               ParseError, SchemaError)
 
 
 def write(tmp_path, text, name="events.csv"):
@@ -133,6 +137,143 @@ class TestLoadEvents:
         assert g.id_map == {0: 0, 1: 1, 3: 2}
         np.testing.assert_array_equal(g.src, [0, 2])
         np.testing.assert_array_equal(g.dst, [1, 1])
+
+    @pytest.mark.parametrize("delimiter", ["", "ab", None])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ConfigError, match="one character"):
+            CsvLayout(delimiter=delimiter)
+
+    def test_well_formed_file_takes_the_column_parse(self, tmp_path,
+                                                     monkeypatch):
+        # a numpy change that sent every file to the row reader would only
+        # show as a slower load; here it fails
+        def refuse(path, fmt):
+            raise AssertionError("the row reader ran on a well-formed file")
+        monkeypatch.setattr(data, "_load_rows", refuse)
+        p = write(tmp_path, "src,dst,t,label,f1,f2\n"
+                            "10,20,2.5,1,0.5,-1e-3\n\n"
+                            "5,10,1.0,0,+3,.25\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_events(p)
+        assert g.id_map == {5: 0, 10: 1, 20: 2}
+        np.testing.assert_array_equal(g.src, [0, 1])
+        np.testing.assert_array_equal(g.dst, [1, 2])
+        np.testing.assert_array_equal(g.t, [1.0, 2.5])
+        np.testing.assert_array_equal(g.edge_feats, [[3.0, 0.25], [0.5, -1e-3]])
+
+    @pytest.mark.parametrize("bad", ["1.5", "nan", "inf", "1e20",
+                                     "9223372036854775808"])
+    def test_non_integer_id_refused_with_warnings_ignored(self, tmp_path, bad):
+        # a caller that silences warnings must not let a float-spelled id
+        # through the column parse
+        p = write(tmp_path, f"0,1,1.0\n{bad},2,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="line 2"):
+                load_events(p)
+
+    def test_column_parse_that_only_warns_is_refused(self, tmp_path,
+                                                     monkeypatch):
+        # numpy releases that read an int via a float warn and return a
+        # truncated id instead of raising; the row reader must decide
+        def warn_and_truncate(fh, dtype, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return np.ones(2, dtype=dtype)
+        monkeypatch.setattr(np, "loadtxt", warn_and_truncate)
+        p = write(tmp_path, "0,1,1.0\n1.5,2,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="line 2"):
+                load_events(p)
+
+
+# spellings that one of the two parsers may refuse, by column kind
+ODD_IDS = ["+3", " 4 ", "007", "-0", "3.0", "-2", "1e3", "1_0", "1.5", "nan",
+           "\u0663", "9223372036854775808", "-9223372036854775809", '"5"',
+           "", "x", "#1"]
+ODD_NUMBERS = ["nan", "inf", "-Infinity", "NaN", "1_000", ".5", "1.", " 2.5 ",
+               "+4", "1e400", "1e-320", "0x1p3", "\u0663", '"2.0"', "", "x",
+               "#1"]
+ODD_LABELS = ["yes", '"a,b"', '"x', "", "1.5", "-1", "1_0"]
+ODD_LINES = ["", " ", "\t", "#", "# note", ",,", '"', "0,1"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text near the canonical layout, with a few odd spellings or
+    lines, and the layout to load it with."""
+    k = draw(st.integers(0, 3))
+    label = draw(st.booleans())
+    ids = st.integers(0, 30) | st.integers(0, 2 ** 63 - 1)
+    numbers = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-5, 99).map(str))
+    rows = draw(st.lists(st.tuples(ids, ids, numbers,
+                                   st.sampled_from(["0", "1"]),
+                                   st.lists(numbers, min_size=k, max_size=k)),
+                         min_size=1, max_size=6))
+    cells = [[str(u), str(v), t] + ([y] if label else []) + f
+             for u, v, t, y, f in rows]
+    lines = [None] * len(cells)     # None: the event row of that index
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from(["cell", "quote", "drop", "extra", "line"]))
+        c = draw(st.integers(0, len(cells[r]) - 1))
+        if kind == "cell":
+            odd = (ODD_IDS if c < 2 else ODD_LABELS if label and c == 3
+                   else ODD_NUMBERS)
+            cells[r][c] = draw(st.sampled_from(odd))
+        elif kind == "quote":
+            cells[r][c] = f'"{cells[r][c]}"'
+        elif kind == "drop":
+            cells[r].pop()
+        elif kind == "extra":
+            cells[r].append("0")
+        else:
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(ODD_LINES)))
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", " "]))
+    rows = iter(cells)
+    body = [delimiter.join(next(rows)) if line is None else line
+            for line in lines]
+    header = draw(st.sampled_from([None, "src,dst,t", "a", "1,2", ""]))
+    if header is not None:
+        body.insert(0, header.replace(",", delimiter))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(body) + draw(st.sampled_from([end, ""]))
+    fmt = CsvLayout(has_header=draw(st.sampled_from([None, True, False])),
+                    label_column=draw(st.sampled_from([None, True, False])),
+                    delimiter=delimiter)
+    return text, fmt
+
+
+def _outcome(load, path, fmt):
+    """The graph, or the type and message of what loading raised; loading
+    must not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load(path, fmt)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_column_parse_agrees_with_row_reader(tmp_path_factory, case):
+    text, fmt = case
+    p = tmp_path_factory.mktemp("csv") / "events.csv"
+    p.write_bytes(text.encode())
+    got = _outcome(load_events, p, fmt)
+    want = _outcome(data._load_rows, p, fmt)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    for name in ("src", "dst", "t", "edge_feats"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.num_nodes, got.id_map) == (want.num_nodes, want.id_map)
 
 
 class TestSplit:

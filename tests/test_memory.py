@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coneighbor import memory
 from coneighbor.config import MATCH_PAPER, MATCH_STRICT
 from coneighbor.errors import ConfigError
 from coneighbor.harness import _take
@@ -307,6 +309,32 @@ class TestCompactTables:
         m.store[10, 1] = 0
         with pytest.raises(AssertionError, match="padding row"):
             check_slot_consistency(m)
+
+    @pytest.mark.parametrize("row,col,value,what", [
+        (0, 1, 3, "valid id range"), (6, 2, 3, "valid id range"),
+        (10, 1, 0, "padding row")])
+    def test_audit_checks_every_block(self, monkeypatch, row, col, value,
+                                      what):
+        monkeypatch.setattr(memory, "AUDIT_BLOCK_BYTES", 3 * 8 * 4)
+        m = HashTableMemory(10, 4, 3)
+        m.write(np.arange(10), (np.arange(10) + 1) % 10)
+        check_slot_consistency(m)
+        m.store[row, col] = value
+        with pytest.raises(AssertionError, match=what):
+            check_slot_consistency(m)
+
+    def test_audit_needs_no_table_sized_temporary(self):
+        # the decoded int64 table alone would be 10 MB
+        m = HashTableMemory(20_000, 64, 5)
+        rows = np.arange(20_000)
+        m.write(rows, (rows * 7 + 1) % 20_000)
+        tracemalloc.start()
+        try:
+            check_slot_consistency(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 @settings(max_examples=60, deadline=None)
