@@ -8,7 +8,7 @@ feeds a small sequence encoder for dynamic link prediction.
 from .config import RunConfig
 from .history import HistoryStore
 from .memory import ExactNeighborLog, HashTableMemory, TemporalDiverseMemory
-from .model import GradientTape, LinkPredictor
+from .model import LinkPredictor
 from .synthetic import TriadicStreamConfig, triadic_closure_stream
 
 __version__ = "0.1.0"
@@ -16,5 +16,5 @@ __version__ = "0.1.0"
 __all__ = [
     "RunConfig", "TriadicStreamConfig", "triadic_closure_stream",
     "HashTableMemory", "TemporalDiverseMemory", "ExactNeighborLog",
-    "HistoryStore", "LinkPredictor", "GradientTape", "__version__",
+    "HistoryStore", "LinkPredictor", "__version__",
 ]

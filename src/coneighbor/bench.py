@@ -6,7 +6,8 @@ per sample, O(l_s) for window extraction plus O(l_s * M) for the slot-wise
 comparisons.  Each axis fits a straight line over a doubling grid of the
 swept parameter and reports the fitted time ratio between the top value
 and half of it.  A ratio near 2 means linear; ratios far above 2 would
-indicate superlinear behavior.
+indicate superlinear behavior.  A point's time is its best repeat; each
+repeat round times every point once, so host drift hits them alike.
 
 The sequence axis times extraction plus co-encoding for a fixed batch of
 pairs, since both grow with l_s.  The width axis times the co-neighbor
@@ -122,12 +123,14 @@ def _prepare(num_nodes: int, num_events: int, cfg: RunConfig, seed: int):
     return g, hist, tdm
 
 
-def _best_of(repeats: int, step) -> float:
-    best = np.inf
+def _best_of(repeats: int, steps) -> list[float]:
+    """Best-of-repeats wall time of every step, each round in order."""
+    best = [np.inf] * len(steps)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        step()
-        best = min(best, time.perf_counter() - t0)
+        for i, step in enumerate(steps):
+            t0 = time.perf_counter()
+            step()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -137,22 +140,20 @@ def _pairs(g, batch: np.ndarray):
             np.full(batch.shape[0], float(g.t[-1]) + 1.0))
 
 
-def _time_encoding(g, hist, tdm, cfg: RunConfig, batch: np.ndarray,
-                   repeats: int) -> float:
-    """Best-of-repeats wall time of sequence extraction + co-encoding."""
+def _encoding_step(g, hist, tdm, cfg: RunConfig, batch: np.ndarray):
+    """A call of sequence extraction + co-encoding."""
     ft = feature_tables(g, cfg)
     u, v, query_t = _pairs(g, batch)
 
     def step():
         squ, sqv = endpoint_windows(hist, u, v, query_t, cfg.seq_len)
         stack_pair_features(ft, cfg, tdm, [(squ, v), (sqv, u)])
-    return _best_of(repeats, step)
+    return step
 
 
-def _time_count(g, hist, tdm, cfg: RunConfig, batch: np.ndarray,
-                repeats: int) -> float:
-    """Best-of-repeats wall time of co_encode_batch alone, on both
-    endpoints' windows extracted once outside the timer."""
+def _count_step(g, hist, tdm, cfg: RunConfig, batch: np.ndarray):
+    """A call of co_encode_batch alone, on both endpoints' windows
+    extracted once, outside the timer."""
     u, v, query_t = _pairs(g, batch)
     sides = list(zip(endpoint_windows(hist, u, v, query_t, cfg.seq_len),
                      (v, u)))
@@ -161,7 +162,7 @@ def _time_count(g, hist, tdm, cfg: RunConfig, batch: np.ndarray,
         for seq, other in sides:
             tdm.co_encode_batch(seq.anchors, other, seq.peers, seq.valid,
                                 cfg.matching)
-    return _best_of(repeats, step)
+    return step
 
 
 def run_bench(batch_size: int = 200, num_nodes: int = 400,
@@ -179,22 +180,22 @@ def run_bench(batch_size: int = 200, num_nodes: int = 400,
     g, hist, tdm = _prepare(num_nodes, num_events,
                             base.replace(seq_len=int(max(seq_lens))), seed)
     batch = rng.integers(0, g.num_events, size=batch_size)
-    seq_secs = []
-    for L in seq_lens:
-        cfg = base.replace(seq_len=int(L))
-        seq_secs.append(_time_encoding(g, hist, tdm, cfg, batch, repeats))
+    seq_secs = _best_of(repeats, [
+        _encoding_step(g, hist, tdm, base.replace(seq_len=int(L)), batch)
+        for L in seq_lens])
     seq_axis = _fit_axis("sequence_length", seq_lens, seq_secs)
     seq_top = _fit_axis("sequence_length", seq_lens, seq_secs,
                         top=SEQ_TOP_FIT_POINTS)
 
     # width axis: fixed window, growing long table (short follows at 1/4)
-    width_secs = []
+    steps = []
     for M in widths:
         M = int(M)
         cfg = base.replace(seq_len=WIDTH_SEQ_LEN, long_size=M,
                            short_size=max(1, M // 4))
-        g2, hist2, tdm2 = _prepare(num_nodes, num_events, cfg, seed)
-        width_secs.append(_time_count(g2, hist2, tdm2, cfg, batch, repeats))
+        steps.append(_count_step(*_prepare(num_nodes, num_events, cfg, seed),
+                                 cfg, batch))
+    width_secs = _best_of(repeats, steps)
     width_axis = _fit_axis("hashtable_size", widths, width_secs,
                            top=WIDTH_FIT_POINTS)
 
@@ -204,7 +205,7 @@ def run_bench(batch_size: int = 200, num_nodes: int = 400,
         "hashtable_size axis times co_encode_batch alone, on windows "
         "extracted once outside the timer, and fits its "
         f"{WIDTH_FIT_POINTS} largest widths",
-        f"batch_size={batch_size} pairs, best of {repeats} repeats",
+        f"batch_size={batch_size} pairs, best of {repeats} repeat rounds",
         f"sequence_length top_fit_doubling_ratio fits its "
         f"{SEQ_TOP_FIT_POINTS} largest lengths and is not gated",
     ]

@@ -244,7 +244,7 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
         feats, pos, neg = _pair_features(g, ev[m], _take(squ, m),
                                          _take(sqv, m), tdm, hist, cfg, ft,
                                          eval_pool, rng_neg)
-        H, _ = predictor.encode(params, feats, tape=False)
+        H = predictor.encode(params, feats)
         pp = predictor.score(params, H[pos[0]], H[pos[1]])
         pn = predictor.score(params, H[neg[0]], H[neg[1]])
         loss_sum += bce_loss(pp, pn) * m.size

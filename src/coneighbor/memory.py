@@ -370,8 +370,9 @@ def check_slot_consistency(mem: HashTableMemory) -> None:
     slots = np.arange(mem.width)
     misplaced = False
     for lo in range(0, mem.store.shape[0], rows):
-        ids = mem._decode(mem.store[lo:lo + rows])
-        filled = ids != mem.sentinel
+        block = mem.store[lo:lo + rows]
+        # a filled slot may decode to the sentinel id, so test the store
+        ids, filled = mem._decode(block), block != mem.empty
         if np.any(filled & ((ids < 0) | (ids >= mem.num_nodes))):
             raise AssertionError("stored value outside the valid id range")
         misplaced = misplaced or bool(

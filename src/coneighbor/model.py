@@ -23,55 +23,53 @@ inv = 1 / sqrt(|u|^2 / 5d + eps).  Training drops each of y's 5d outputs
 with a mask m.  A position is kept if its uint16 draw is >= t, where
 t = min(round(p * 2^16), 2^16 - 1) and the draws are the generator's raw
 64-bit output read as uint16s; kept outputs are scaled by
-g = 1 / (1 - t / 2^16), the quantised keep rate.  The tape keeps u, inv
-and m, never y:
-  inner layers write z = (m * u) * (inv * g) straight into the next
-    layer's input [z, 1];
+g = 1 / (1 - t / 2^16), the quantised keep rate.
+
+A training step (loss_and_grads) takes the pairs, positives first, in
+blocks of whole pairs sized by PAIR_BLOCK_BYTES, forward and backward
+while each is in cache.  A block gathers its sequences interleaved,
+[a0, b0, a1, b1, ...], so readout rows 2i and 2i + 1 are pair i's merge
+input; a sequence that two pairs name is encoded twice.  Pair i's masks
+are one run of 2 L l 5d draws, layer by layer, side a then side b, and
+the runs follow in pair order, whatever the block size: when a run ends
+mid-word (L l 5d odd), blocks hold an even number of pairs.  A block
+builds layer 0's A = [raw inputs, 1, D] once, D = dt * d(time
+encoding)/d(args), and keeps each layer's u, inv and m, never y:
+  inner layers write z = (m * u) * (inv * g) into the next [z, 1];
   the last layer pools pool = sum_p (s * inv_p) * (m_p * u_p), one matvec
-    per sequence with per-position weights, where s = g / l carries the
-    mean-pool's 1/l and the dropout scale.
-The backward pass takes a block of sequences through every layer:
-  G = dz * m, then G *= inv * g (s * inv on the last layer);
-  e_p = inv_p^2 / 5d * <G_p, u_p>, then G -= e * u.
-G is then the exact gradient with respect to u.  The one with respect to
-the uncentred A [W; b] is G minus each row's mean, a per-row constant:
-the weight and bias gradients, A^T G, are centred over the output axis
-once per batch, which removes it, and the centred weights pass G @ W^T
-down to an inner layer's input, their rows summing to zero.  Layer 0's
-A is [raw inputs, 1, D] with D = dt * d(time encoding)/d(args), so one
-GEMM gives its weight and bias gradients and D^T G, which the centred
-time rows of the folded layer-0 weight contract to the time_freq
-gradient.
+    per sequence, where s = g / l carries the mean-pool's 1/l.
+After scoring, the backward pass runs from dz = dH @ out_w^T through
+every layer: G = dz * m, G *= inv * g (s * inv on the last layer),
+e_p = inv_p^2 / 5d * <G_p, u_p>, G -= e * u; the layer adds A^T G and
+passes dz = G @ W^T down.  G is the exact gradient with respect to u.
+The one with respect to the uncentred A [W; b] is G minus each row's
+mean, a per-row constant: centring the summed A^T G over the output axis
+once per batch removes it, and the centred weights' rows sum to zero.
+Layer 0's A^T G holds its weight and bias gradients and D^T G, which the
+centred time rows of the folded weight contract to the time_freq
+gradient.  The block's (rows, 5d) temporaries live in scratch that the
+predictor sizes at first use and reuses.
 
-Both passes run in blocks of whole sequences, sized by BLOCK_BYTES so that
-one block's (rows, 5d) temporaries stay in a core's L2 cache instead of
-streaming whole-batch arrays through memory once per elementwise step.
-The forward pass keeps layers as the outer loop and every block but the
-last a whole multiple of 4 sequences, so a layer's per-block draws end on
-64-bit words and concatenate to one whole-layer draw, whatever
-BLOCK_BYTES is.  Layer 0's input is built per block in both passes, so no
-whole-batch (S, l, k) input is allocated on any batch.
-
-Scoring uses encode(..., tape=False), which collapses the last layer and
-never builds its (S, l, 5d) output.  With A_p the layer's input at
-position p, layer norm needs only |A_p V|^2 = |A_p R^T|^2, where R is
-the triangular factor of one float64 QR of V^T: at most k+1 columns wide
-for a k-wide input, and a sum of squares, so nothing cancels.
-Mean-pooling is linear, so it moves before the output map:
-h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.  Training keeps the
-full layer: dropout masks each of the 5d outputs, so the pooled sum is
-no longer linear in A_p.  Scoring builds the raw input a block at a time
-inside the loop that consumes it, as training does.
+Scoring (encode) runs inner layers in blocks of whole sequences sized by
+BLOCK_BYTES and collapses the last layer, never building its (S, l, 5d)
+output.  With A_p the layer's input at position p, layer norm needs only
+|A_p V|^2 = |A_p R^T|^2, where R is the triangular factor of one float64
+QR of V^T: at most k+1 columns wide for a k-wide input, and a sum of
+squares, so nothing cancels.  Mean-pooling is linear, so it moves before
+the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.
+Training keeps the full layer: the masks make the pooled sum nonlinear
+in A_p.
 
 Everything is plain numpy.  Gradients are computed in closed form by
-walking the recorded intermediates backwards; the test suite checks every
+walking each block's intermediates backwards; the test suite checks every
 parameter tensor against central finite differences.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, field
+import math
+from dataclasses import astuple, dataclass
 from zipfile import BadZipFile
 
 import numpy as np
@@ -85,9 +83,15 @@ CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
 BLOCKS = ("node", "edge", "time", "co_long", "co_short")
-# bytes of one (rows, 5d) slice per encoder block: a block's temporaries
+# bytes of one (rows, 5d) slice per scoring block: a block's temporaries
 # then fit a 2 MiB L2 cache several times over
 BLOCK_BYTES = 256 * 1024
+# the same for a training block of pairs, which keeps every layer's
+# (rows, 5d) temporaries until its backward pass
+PAIR_BLOCK_BYTES = 512 * 1024
+# raw 64-bit draws per generator call: 64 KiB, under glibc's default mmap
+# threshold, so drawing a block's masks maps no fresh pages
+DRAW_WORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -257,37 +261,21 @@ def _inv_std(x: np.ndarray, n: int, eps: float = LN_EPS) -> np.ndarray:
     return inv
 
 
-def _time_encode_and_grad(dt: np.ndarray, freqs: np.ndarray):
-    """time_encode(dt, freqs), and dt * d/d(args) of its trig columns
-    without its scale, from one cos and one sin of every argument."""
-    args = dt[..., None] * freqs
-    te, grad = np.cos(args), np.sin(args)
-    # swap the odd columns: te = [cos, sin, ...], grad = [sin, cos, ...]
-    odd = te[..., 1::2].copy()
-    te[..., 1::2] = grad[..., 1::2]
-    grad[..., 1::2] = odd
-    te *= te.dtype.type(np.sqrt(1.0 / freqs.shape[0]))
-    grad[..., 0::2] *= -1.0
-    grad *= dt[..., None]
-    return te, grad
-
-
-def _sequence_blocks(S: int, l: int, f: int, dtype,
-                     align: int = 1) -> list[slice]:
-    """Slices of whole sequences, each about BLOCK_BYTES of an (l, f) stack;
-    every block but the last holds a whole multiple of align sequences."""
-    c = max(1, BLOCK_BYTES // (l * f * np.dtype(dtype).itemsize))
-    c = -(-c // align) * align
-    return [slice(lo, min(lo + c, S)) for lo in range(0, S, c)]
+def _blocks(n: int, size: int, budget: int, align: int = 1) -> list[slice]:
+    """Slices of n items of size bytes, each about budget bytes; every
+    block but the last holds a whole multiple of align items."""
+    c = -(-max(1, budget // size) // align) * align
+    return [slice(lo, min(lo + c, n)) for lo in range(0, n, c)]
 
 
 def _dropout_mask(rng: np.random.Generator, t: int, out: np.ndarray) -> None:
-    """Fill the bool array out with keep flags: a position is kept if its
-    uint16 draw is >= t.  The draws are the generator's raw 64-bit output
-    read as uint16s, so masks of 4k positions each concatenate to one."""
-    n = out.size
-    raw = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
-    np.greater_equal(raw.reshape(out.shape), t, out=out)
+    """Fill the flat bool array out with keep flags: a position is kept if
+    its uint16 draw is >= t.  The draws are the generator's raw 64-bit
+    output read as uint16s, DRAW_WORDS words per call."""
+    for lo in range(0, out.size, 4 * DRAW_WORDS):
+        c = min(4 * DRAW_WORDS, out.size - lo)
+        raw = rng.bit_generator.random_raw(-(-c // 4)).view(np.uint16)
+        np.greater_equal(raw[:c], t, out=out[lo:lo + c])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -307,19 +295,8 @@ def bce_loss(p_pos: np.ndarray, p_neg: np.ndarray,
     return float(-np.log(pp).mean() - np.log1p(-pn).mean())
 
 
-@dataclass
-class GradientTape:
-    """Forward intermediates needed for the exact backward pass."""
-
-    feats: SequenceFeatures
-    # (z_in, u, inv_std, mask) per layer: z_in is an inner layer's input
-    # [z, 1], None for layer 0, whose input is rebuilt per block
-    layers: list = field(default_factory=list)
-    pool: np.ndarray | None = None
-
-
 class LinkPredictor:
-    """Stateless compute graph; parameters travel in plain dicts."""
+    """Encoder and scorer; parameters travel in plain dicts."""
 
     def __init__(self, dims: ModelDims, dropout: float):
         self.dims = dims.validate()
@@ -330,94 +307,46 @@ class LinkPredictor:
         # draw values drop, and the inverted scale uses that quantised rate
         self._drop_t = min(round(dropout * 65536), 65535)
         self._keep_scale = 1.0 / (1.0 - self._drop_t / 65536)
+        self._buffers: dict = {}
 
     # -- forward -------------------------------------------------------
 
-    def encode(self, params, feats: SequenceFeatures, training: bool = False,
-               rng: np.random.Generator | None = None, *, tape: bool = True):
-        """Sequences -> (S, d_o) node representations plus the tape.
-
-        With tape False, for scoring only, the tape is None and the last
-        layer is computed in collapsed form (see the module docstring).
-        """
-        if training and self.dropout > 0.0 and rng is None:
-            raise ConfigError("training forward with dropout needs an rng")
-        if training and not tape:
-            raise ConfigError("a training forward pass must keep its tape")
+    def encode(self, params, feats: SequenceFeatures) -> np.ndarray:
+        """Sequences -> (S, d_o) node representations, for scoring: no
+        dropout, and the last layer in collapsed form (see the module
+        docstring)."""
         weights = self._centred_weights(params)
         S, l = feats.dt.shape
-        f, last = self.dims.fused, self.dims.layers - 1
+        f = self.dims.fused
         dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
                                feats.co_short, params["time_freq"],
                                weights[0])
-        drop = training and self.dropout > 0.0
-        gamma = self._keep_scale if drop else 1.0
-        # whole multiples of 4 sequences, so each block's uint16 draws end
-        # on a 64-bit word and the blocks' draws make one per layer
-        blocks = _sequence_blocks(S, l, f, dtype, align=4)
-        c = blocks[0].stop if blocks else 0
-        # inner layers' u, per block, when no tape keeps it
-        ubuf = np.empty((c, l, f), dtype) if last and not tape else None
-        mu = np.empty((c, l, f), dtype) if drop else None   # last m * u
-        pool = np.empty((S, f), dtype) if tape else None
-        rec = GradientTape(feats=feats, pool=pool)
-        for layer, V in enumerate(weights if tape else weights[:-1]):
-            z_in = z if layer else None
-            u = np.empty((S, l, f), dtype) if tape else None
-            inv = np.empty((S, l, 1), dtype) if tape else None
-            mask = np.empty((S, l, f), dtype=bool) if drop else None
-            if layer < last:
-                z = np.empty((S, l, f + 1), dtype)
-                z[..., f] = 1.0
-            for blk in blocks:
-                n = blk.stop - blk.start
+        z = None
+        for V in weights[:-1]:
+            z_in, z = z, np.empty((S, l, f + 1), dtype)
+            z[..., f] = 1.0
+            for blk in _blocks(S, l * f * np.dtype(dtype).itemsize,
+                               BLOCK_BYTES):
                 # layer 0's input [raw inputs, 1] is built per block
-                ab = (self._inputs(params, feats, blk, tail=1) if z_in is None
-                      else z_in[blk, :, :V.shape[0]])
-                ub = u[blk] if tape else ubuf[:n]
+                ab = (self._inputs(params, feats, blk, tail=True)
+                      if z_in is None else z_in[blk])
+                ub = self._scratch(("u", 0), (len(ab), l, f), dtype)
                 np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
-                ib = _inv_std(ub, f)
-                if tape:
-                    inv[blk] = ib
-                mb = ub
-                if drop:
-                    _dropout_mask(rng, self._drop_t, mask[blk])
-                    mb = z[blk, :, :f] if layer < last else mu[:n]
-                    np.multiply(ub, mask[blk], out=mb)
-                if layer < last:
-                    np.multiply(mb, ib * gamma, out=z[blk, :, :f])
-                else:
-                    # pool = sum_p (s * inv_p) * (m_p * u_p)
-                    ib *= self._pool_scale(l, drop)
-                    np.matmul(ib.reshape(n, 1, l), mb,
-                              out=pool[blk].reshape(n, 1, f))
-            rec.layers.append((z_in, u, inv, mask))
-
-        if not tape:
-            return self._collapsed_last_layer(
-                params, feats, z[..., :f] if last else None, weights[last],
-                dtype), None
-        return pool @ params["out_w"] + params["out_b"], rec
+                np.multiply(ub, _inv_std(ub, f), out=z[blk, :, :f])
+        return self._collapsed_last_layer(
+            params, feats, None if z is None else z[..., :f], weights[-1],
+            dtype)
 
     def _inputs(self, params, feats: SequenceFeatures,
-                blk: slice = slice(None), tail: int = 0) -> np.ndarray:
-        """Raw block inputs of the sequences blk, concatenated: (n, l, k).
-
-        tail 1 appends a ones column, the input of V's bias row; tail 2 also
-        appends dt * d(time encoding)/d(args), unscaled, for the backward
-        pass: (n, l, k + 1 + d_T).
-        """
-        dt, freqs = feats.dt[blk], params["time_freq"]
-        if tail == 2:
-            te, grad = _time_encode_and_grad(dt, freqs)
-        else:
-            te = time_encode(dt, freqs)
+                blk: slice = slice(None), tail: bool = False) -> np.ndarray:
+        """Raw block inputs of the sequences blk, concatenated: (n, l, k);
+        tail appends a ones column, the input of V's bias row."""
+        dt = feats.dt[blk]
+        te = time_encode(dt, params["time_freq"])
         parts = [feats.node[blk], feats.edge[blk], te, feats.co_long[blk],
                  feats.co_short[blk]]
         if tail:
             parts.append(np.ones(dt.shape + (1,), te.dtype))
-        if tail == 2:
-            parts.append(grad)
         return np.concatenate(parts, axis=-1)
 
     def _collapsed_last_layer(self, params, feats, a_in, V, dtype):
@@ -430,7 +359,8 @@ class LinkPredictor:
         r_w, r_b = R[:, :k].T, R[:, k]
         wc = np.empty((S, k + 1), dtype)        # sum_p inv_p * A_p
         # no temporary here is wider than k + 1
-        for blk in _sequence_blocks(S, l, k + 1, dtype):
+        for blk in _blocks(S, l * (k + 1) * np.dtype(dtype).itemsize,
+                           BLOCK_BYTES):
             ab = (self._inputs(params, feats, blk) if a_in is None
                   else a_in[blk])
             u = ab.reshape(-1, k) @ r_w
@@ -440,10 +370,6 @@ class LinkPredictor:
             np.matmul(c, ab, out=wc[blk, None, :k])
             wc[blk, k] = c.sum(axis=(1, 2))
         return wc @ (V @ params["out_w"] / l) + params["out_b"]
-
-    def _pool_scale(self, l: int, drop: bool) -> float:
-        """1/l of the mean-pool, times the keep scale g if dropped."""
-        return (self._keep_scale if drop else 1.0) / l
 
     def _fold_layer0(self, params):
         """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""
@@ -482,93 +408,46 @@ class LinkPredictor:
 
         pos_pairs/neg_pairs are (a_idx, b_idx) index arrays into the stacked
         sequence axis; a is always the representation placed first in the
-        merge concatenation.
+        merge concatenation.  A sequence is encoded once per pair side
+        that names it (see the module docstring).
         """
-        H, tape = self.encode(params, feats, training=training, rng=rng)
-        pa, pb = (np.asarray(i, dtype=np.int64) for i in pos_pairs)
-        na, nb = (np.asarray(i, dtype=np.int64) for i in neg_pairs)
-        pos_pairs, neg_pairs = (pa, pb), (na, nb)
-        p_pos = self.score(params, H[pa], H[pb])
-        p_neg = self.score(params, H[na], H[nb])
-        loss = bce_loss(p_pos, p_neg)
-
-        eps = CLAMP_EPS
-        interior_p = (p_pos > eps) & (p_pos < 1.0 - eps)
-        interior_n = (p_neg > eps) & (p_neg < 1.0 - eps)
-        dlogit_p = np.where(interior_p, -(1.0 - p_pos) / pa.shape[0], 0.0)
-        dlogit_n = np.where(interior_n, p_neg / na.shape[0], 0.0)
-
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        d_o = self.dims.out_dim
-        w_m = params["merge_w"][:, 0]
-        dH = np.zeros_like(H)
-        for (ia, ib), dlg, pp in ((pos_pairs, dlogit_p, p_pos),
-                                  (neg_pairs, dlogit_n, p_neg)):
-            cat = np.concatenate([H[ia], H[ib]], axis=-1)
-            grads["merge_w"][:, 0] += cat.T @ dlg
-            grads["merge_b"][0] += dlg.sum()
-            dcat = dlg[:, None] * w_m
-            np.add.at(dH, ia, dcat[:, :d_o])
-            np.add.at(dH, ib, dcat[:, d_o:])
-
-        self._backward_encode(params, grads, tape, dH)
-        return loss, grads, (p_pos, p_neg)
-
-    def _backward_encode(self, params, grads, tape: GradientTape,
-                         dH: np.ndarray) -> None:
-        feats = tape.feats
-        S, l = feats.dt.shape
-        d, f, d_T = self.dims.hidden, self.dims.fused, self.dims.time_dim
-        last = self.dims.layers - 1
+        drop = training and self.dropout > 0.0
+        if drop and rng is None:
+            raise ConfigError("training with dropout needs an rng")
+        a, b = (np.concatenate([pos_pairs[i], neg_pairs[i]]).astype(np.int64)
+                for i in (0, 1))
+        n_pos, P = len(pos_pairs[0]), a.shape[0]
         weights = self._centred_weights(params)
-        drop = tape.layers[last][3] is not None
-
-        grads["out_w"] += tape.pool.T @ dH
-        grads["out_b"] += dH.sum(axis=0)
-        dpool = dH @ params["out_w"].T
-
-        # per layer A^T G, where G lacks the per-row mean term; centring
-        # these sums over the output axis removes it.  The centred weights
-        # need no such step: their rows sum to zero, so G @ W^T carries
-        # the exact gradient to an inner layer's input.
-        gv = [np.zeros((V.shape[0] + (0 if layer else d_T), f), dpool.dtype)
-              for layer, V in enumerate(weights)]
-        scales = [self._keep_scale if drop else 1.0] * last
-        scales.append(self._pool_scale(l, drop))
-
-        # no draws here, so each block runs through every layer while its
-        # gradients are still in cache
-        for blk in _sequence_blocks(S, l, f, dpool.dtype):
-            dz = dpool[blk][:, None, :]
-            for layer in reversed(range(self.dims.layers)):
-                z_in, u, inv, mask = tape.layers[layer]
-                ub, ib = u[blk], inv[blk]
-                if mask is None:
-                    G = np.array(np.broadcast_to(dz, ub.shape))
-                else:
-                    G = dz * mask[blk]
-                G *= ib * scales[layer]
-                e = np.vecdot(G, ub)[..., None]
-                e *= ib * ib
-                e /= f
-                G -= e * ub
-                G = G.reshape(-1, f)
-                # layer 0's A: [raw inputs, 1, D]
-                a = (z_in[blk] if layer else
-                     self._inputs(params, feats, blk, tail=2))
-                gv[layer] += a.reshape(-1, a.shape[-1]).T @ G
-                if layer:
-                    dz = (G @ weights[layer][:f].T).reshape(ub.shape)
+        l = feats.dt.shape[1]
+        f, L = self.dims.fused, self.dims.layers
+        dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
+                               feats.co_short, params["time_freq"],
+                               weights[0])
+        # two pairs' draws end on a 64-bit word when one pair's do not
+        blocks = _blocks(P, 2 * l * f * np.dtype(dtype).itemsize,
+                         PAIR_BLOCK_BYTES, align=1 if L * l * f % 2 == 0 else 2)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        # per layer A^T G (layer 0's A: [raw inputs, 1, D])
+        gv = [np.zeros((V.shape[0] + (0 if k else self.dims.time_dim), f),
+                       dtype) for k, V in enumerate(weights)]
+        is_pos = np.arange(P) < n_pos
+        count = np.where(is_pos, n_pos, P - n_pos).astype(dtype)
+        probs = np.empty(P, dtype)
+        for blk in blocks:
+            probs[blk] = self._pair_block(params, feats, weights, a[blk],
+                                          b[blk], is_pos[blk], count[blk],
+                                          grads, gv, rng if drop else None)
 
         for g in gv:
             g -= g.mean(axis=-1, keepdims=True)
-        for layer in range(1, self.dims.layers):
+        for layer in range(1, L):
             grads[f"fuse{layer}_w"] += gv[layer][:f]
             grads[f"fuse{layer}_b"] += gv[layer][f]
 
         # layer 0 in folded form: with G_b = x_b^T G and s = sum(G),
         # d fuse0_w[b] = P_b^T G_b + p_b (x) s, d P_b = G_b W0_b^T,
         # d p_b = W0_b s
+        d, d_T = self.dims.hidden, self.dims.time_dim
         k = weights[0].shape[0] - 1
         G, s, gt = gv[0][:k], gv[0][k], gv[0][k + 1:]
         w0 = params["fuse0_w"]
@@ -583,13 +462,132 @@ class LinkPredictor:
             grads[f"proj_{name}_w"] += G_b @ w0_b.T
             grads[f"proj_{name}_b"] += w0_b @ s
             lo += kb
-
         # the time rows of the folded layer-0 weight contract D^T G to the
         # time_freq gradient
         lo_t = feats.node.shape[-1] + feats.edge.shape[-1]
         w_t = weights[0][lo_t:lo_t + d_T]
         grads["time_freq"] += np.sqrt(1.0 / d_T) * np.einsum("ij,ij->i", gt,
                                                              w_t)
+        p_pos, p_neg = probs[:n_pos], probs[n_pos:]
+        return bce_loss(p_pos, p_neg), grads, (p_pos, p_neg)
+
+    def _scratch(self, name, shape, dtype) -> np.ndarray:
+        """An uninitialised array kept by the predictor and reused, grown
+        when a call needs more; valid until the next request for name."""
+        n = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < n:
+            buf = self._buffers[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+    def _pair_block(self, params, feats, weights, a, b, is_pos, count,
+                    grads, gv, rng):
+        """Forward, score and backward of m pairs: adds to grads and to
+        each layer's A^T G in gv, returns the probabilities.  count holds
+        each pair's class size; rng is None when nothing is dropped."""
+        m, l = a.shape[0], feats.dt.shape[1]
+        n, f, d_T = 2 * m, self.dims.fused, self.dims.time_dim
+        L, last = self.dims.layers, self.dims.layers - 1
+        dtype = gv[0].dtype
+        k = weights[0].shape[0] - 1
+        q = (m, 2, l, f)                # a pair's two sequences on one axis
+        idx = np.stack([a, b], axis=1).ravel()    # [a0, b0, a1, b1, ...]
+        a0 = self._layer0_input(params, feats, idx,
+                                self._scratch("a0", (n, l, k + 1 + d_T), dtype))
+        drop = rng is not None
+        gamma = self._keep_scale if drop else 1.0
+        scales = [gamma] * last + [gamma / l]    # s = g / l on the last
+        if drop:
+            # each pair's run of 2 L l f draws: layer by layer, a then b
+            masks = self._scratch("masks", (m, L, 2, l, f), bool)
+            _dropout_mask(rng, self._drop_t, masks.reshape(-1))
+
+        # forward; G holds the last layer's m * u until the backward pass
+        G = self._scratch("G", (n, l, f), dtype)
+        us, invs, ins = [], [], [a0[..., :k + 1]]
+        for layer, V in enumerate(weights):
+            u = self._scratch(("u", layer), (n, l, f), dtype)
+            np.matmul(ins[layer].reshape(-1, V.shape[0]), V,
+                      out=u.reshape(-1, f))
+            us.append(u)
+            invs.append(_inv_std(u, f))
+            out = (G if layer == last else
+                   self._scratch(("z", layer + 1), (n, l, f + 1), dtype))
+            mu = out[..., :f]
+            if drop:
+                np.multiply(u.reshape(q), masks[:, layer], out=mu.reshape(q))
+            if layer < last:
+                out[..., f] = 1.0
+                np.multiply(mu if drop else u, invs[-1] * gamma, out=mu)
+                ins.append(out)
+        # pool = sum_p (s * inv_p) * (m_p * u_p)
+        pool = np.matmul((invs[last] * scales[last]).reshape(n, 1, l),
+                         G if drop else us[last]).reshape(n, f)
+        H = pool @ params["out_w"] + params["out_b"]
+
+        # score: pair i's merge input is rows 2i and 2i + 1 of H
+        cat = H.reshape(m, -1)
+        w_m = params["merge_w"][:, 0]
+        p = _sigmoid(cat @ w_m + params["merge_b"][0])
+        interior = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
+        dlogit = np.where(interior, (p - is_pos) / count, 0.0)
+        grads["merge_w"][:, 0] += cat.T @ dlogit
+        grads["merge_b"][0] += dlogit.sum()
+        dH = (dlogit[:, None] * w_m).reshape(n, -1)
+        grads["out_w"] += pool.T @ dH
+        grads["out_b"] += dH.sum(axis=0)
+
+        # backward through every layer while the block is in cache; a
+        # layer's u is dead once e * u is taken, so its buffer takes e * u
+        # and then the next dz
+        dz = (dH @ params["out_w"].T)[:, None, :]
+        for layer in reversed(range(L)):
+            u, inv = us[layer], invs[layer]
+            if drop:
+                np.multiply(dz.reshape(m, 2, -1, f), masks[:, layer],
+                            out=G.reshape(q))
+            else:
+                G[...] = dz
+            G *= inv * scales[layer]
+            e = np.vecdot(G, u)[..., None]
+            e *= inv * inv
+            e /= f
+            G -= np.multiply(u, e, out=u)
+            A = a0 if layer == 0 else ins[layer]
+            G2 = G.reshape(-1, f)
+            gv[layer] += np.matmul(A.reshape(-1, A.shape[-1]).T, G2,
+                                   out=self._scratch("atg", gv[layer].shape,
+                                                     dtype))
+            if layer:
+                dz = np.matmul(G2, weights[layer][:f].T,
+                               out=u.reshape(-1, f)).reshape(n, l, f)
+        return p
+
+    def _layer0_input(self, params, feats, idx, out):
+        """Write [raw inputs, 1, D] of the sequences idx into out
+        (n, l, k + 1 + d_T), with D = dt * d(time encoding)/d(args) of its
+        trig columns, unscaled; returns out."""
+        d_N, d_T = feats.node.shape[-1], self.dims.time_dim
+        t0, k = d_N + feats.edge.shape[-1], out.shape[-1] - 1 - d_T
+        dt = feats.dt[idx][..., None]
+        out[..., :d_N] = feats.node[idx]
+        out[..., d_N:t0] = feats.edge[idx]
+        out[..., t0 + d_T:k - 2] = feats.co_long[idx]
+        out[..., k - 2:k] = feats.co_short[idx]
+        out[..., k] = 1.0
+        te, D = out[..., t0:t0 + d_T], out[..., k + 1:]
+        # cos and sin of the arguments, contiguous, in G's buffer (unused yet)
+        cos, sin = self._scratch("G", (2,) + dt.shape[:2] + (d_T,), out.dtype)
+        np.multiply(dt, params["time_freq"], out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        scale = out.dtype.type(np.sqrt(1.0 / d_T))
+        np.multiply(cos[..., 0::2], scale, out=te[..., 0::2])
+        np.multiply(sin[..., 1::2], scale, out=te[..., 1::2])
+        # d/d(args) of [cos, sin, ...] is [-sin, cos, ...]
+        np.multiply(sin[..., 0::2], -dt, out=D[..., 0::2])
+        np.multiply(cos[..., 1::2], dt, out=D[..., 1::2])
+        return out
 
 
 # -- optimizer --------------------------------------------------------

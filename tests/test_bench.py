@@ -1,7 +1,7 @@
 import pytest
 
-from coneighbor.bench import (DEFAULT_WIDTHS, WIDTH_FIT_POINTS, _fit_axis,
-                              format_report, run_bench)
+from coneighbor.bench import (DEFAULT_WIDTHS, WIDTH_FIT_POINTS, _best_of,
+                              _fit_axis, format_report, run_bench)
 from coneighbor.errors import ConfigError
 
 
@@ -43,6 +43,14 @@ class TestFitAxis:
         # fitted line crosses zero at the half-range evaluation point
         with pytest.raises(ConfigError):
             _fit_axis("sequence_length", [4, 8], [0.0, 0.02])
+
+
+def test_each_round_times_every_point_once_in_order():
+    calls = []
+    steps = [lambda i=i: calls.append(i) for i in range(3)]
+    best = _best_of(4, steps)
+    assert calls == [0, 1, 2] * 4
+    assert len(best) == 3 and all(0 <= b < 1 for b in best)
 
 
 @pytest.fixture(scope="module")

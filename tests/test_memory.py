@@ -304,6 +304,13 @@ class TestCompactTables:
         with pytest.raises(AssertionError, match="valid id range"):
             check_slot_consistency(m)
 
+    def test_audit_rejects_a_quotient_decoding_to_the_sentinel(self):
+        m = HashTableMemory(10, 4, 3)
+        m.store[0, 2] = 2              # decodes to 2*4 + 2 = 10, the sentinel
+        np.testing.assert_array_equal(m.table[0], [10, 10, 10, 10])
+        with pytest.raises(AssertionError, match="outside the valid id range"):
+            check_slot_consistency(m)
+
     def test_audit_rejects_a_written_padding_row(self):
         m = HashTableMemory(10, 4, 3)
         m.store[10, 1] = 0

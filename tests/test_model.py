@@ -242,30 +242,36 @@ def full_layer_norm(a):
     return ac * inv, inv
 
 
-def raw_bit_mask(rng, shape, p):
-    """One whole-array mask: a position is kept if its uint16 draw, read
-    from the generator's raw 64-bit output, is >= round(p * 2^16)."""
-    n = int(np.prod(shape))
-    raw = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
-    return raw.reshape(shape) >= round(p * 2 ** 16)
+def interleaved(feats, pos, neg):
+    """The pairs' gathered stack [a0, b0, a1, b1, ...], positives first."""
+    idx = np.stack([np.r_[pos[0], neg[0]], np.r_[pos[1], neg[1]]], axis=1)
+    return SequenceFeatures(*(x[idx.ravel()]
+                              for x in dataclasses.astuple(feats)))
 
 
-def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
-    """Reference: project every block, concatenate to 5d, then fuse0.
+def pair_masks(rng, P, dims, l, p):
+    """Per layer, the (2P, l, 5d) keep masks of P pairs' interleaved stack.
 
-    Training mode; every layer divides its dropped output by the quantised
-    keep rate 1 - round(p * 2^16) / 2^16, and each layer's mask is one
-    whole-array raw_bit_mask (all kept when p is 0).  Layer norm centres
-    every row and its backward pass keeps the mean(dy) term.  Probabilities
-    must stay off the clamp.
+    Pair i's masks are one run of 2 L l 5d uint16 draws, layer by layer,
+    side a then side b, read from the generator's raw 64-bit output; the
+    runs follow each other in pair order.  A position is kept if its draw
+    is >= round(p * 2^16).
     """
+    L, f = dims.layers, dims.fused
+    n = P * L * 2 * l * f
+    raw = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    keep = raw.reshape(P, L, 2, l, f) >= round(p * 2 ** 16)
+    return [keep[:, k].reshape(2 * P, l, f) for k in range(L)]
+
+
+def unfolded_forward(pred, params, feats, masks=None):
+    """Reference forward: project every block, concatenate to 5d, then
+    every fusion layer with its own layer norm and the masks (None: no
+    dropout), dividing kept outputs by the quantised keep rate."""
     dims = pred.dims
     keep = 1.0 - round(pred.dropout * 2 ** 16) / 2 ** 16
-    d, f = dims.hidden, dims.fused
-    S, l = feats.dt.shape
-    freqs = params["time_freq"]
-    args = feats.dt[..., None] * freqs
-    xs = dict(zip(BLOCKS, (feats.node, feats.edge, time_encode(feats.dt, freqs),
+    xs = dict(zip(BLOCKS, (feats.node, feats.edge,
+                           time_encode(feats.dt, params["time_freq"]),
                            feats.co_long, feats.co_short)))
     z = np.concatenate([xs[n] @ params[f"proj_{n}_w"] + params[f"proj_{n}_b"]
                         for n in BLOCKS], axis=-1)
@@ -273,32 +279,48 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
     for layer in range(dims.layers):
         y, inv = full_layer_norm(z @ params[f"fuse{layer}_w"]
                                  + params[f"fuse{layer}_b"])
-        mask = raw_bit_mask(rng, y.shape, pred.dropout)
-        layers.append((z, y, inv, mask))
-        z = y * mask / keep
+        layers.append((z, y, inv))
+        z = y if masks is None else y * masks[layer] / keep
     pool = z.mean(axis=1)
-    H = pool @ params["out_w"] + params["out_b"]
+    return pool @ params["out_w"] + params["out_b"], xs, layers, pool
+
+
+def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
+    """Reference: the unfolded forward and backward on the interleaved
+    stack of the pairs.
+
+    Training mode; masks follow pair_masks (all kept when p is 0).  Layer
+    norm centres every row and its backward pass keeps the mean(dy) term.
+    Probabilities must stay off the clamp.
+    """
+    dims = pred.dims
+    keep = 1.0 - round(pred.dropout * 2 ** 16) / 2 ** 16
+    d, f, d_o = dims.hidden, dims.fused, dims.out_dim
+    n_pos, P = pos[0].size, pos[0].size + neg[0].size
+    feats = interleaved(feats, pos, neg)
+    S, l = feats.dt.shape
+    freqs = params["time_freq"]
+    masks = pair_masks(rng, P, dims, l, pred.dropout)
+    H, xs, layers, pool = unfolded_forward(pred, params, feats, masks)
 
     w_m, b_m = params["merge_w"][:, 0], params["merge_b"][0]
-    probs = [1.0 / (1.0 + np.exp(-(np.concatenate([H[a], H[b]], axis=-1) @ w_m
-                                   + b_m))) for a, b in (pos, neg)]
-    assert all(((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)).all() for p in probs)
+    cat = H.reshape(P, 2 * d_o)
+    p = 1.0 / (1.0 + np.exp(-(cat @ w_m + b_m)))
+    probs = [p[:n_pos], p[n_pos:]]
+    assert ((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)).all()
     loss = -np.log(probs[0]).mean() - np.log1p(-probs[1]).mean()
 
     g = {k: np.zeros_like(v) for k, v in params.items()}
-    dH = np.zeros_like(H)
-    for (a, b), dlg in ((pos, -(1.0 - probs[0]) / pos[0].size),
-                        (neg, probs[1] / neg[0].size)):
-        g["merge_w"][:, 0] += np.concatenate([H[a], H[b]], axis=-1).T @ dlg
-        g["merge_b"][0] += dlg.sum()
-        np.add.at(dH, a, dlg[:, None] * w_m[:dims.out_dim])
-        np.add.at(dH, b, dlg[:, None] * w_m[dims.out_dim:])
+    dlg = np.r_[-(1.0 - probs[0]) / n_pos, probs[1] / (P - n_pos)]
+    g["merge_w"][:, 0] += cat.T @ dlg
+    g["merge_b"][0] += dlg.sum()
+    dH = (dlg[:, None] * w_m).reshape(S, d_o)
     g["out_w"] += pool.T @ dH
     g["out_b"] += dH.sum(axis=0)
     dz = np.broadcast_to((dH @ params["out_w"].T)[:, None, :] / l, (S, l, f))
     for layer in reversed(range(dims.layers)):
-        z_in, y, inv, mask = layers[layer]
-        dy = dz * mask / keep
+        z_in, y, inv = layers[layer]
+        dy = dz * masks[layer] / keep
         da = inv * (dy - dy.mean(axis=-1, keepdims=True)
                     - y * (dy * y).mean(axis=-1, keepdims=True))
         g[f"fuse{layer}_w"] += z_in.reshape(-1, f).T @ da.reshape(-1, f)
@@ -309,6 +331,7 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
         g[f"proj_{n}_w"] += (xs[n].reshape(S * l, -1).T
                              @ dblk.reshape(S * l, d))
         g[f"proj_{n}_b"] += dblk.sum(axis=(0, 1))
+    args = feats.dt[..., None] * freqs
     dte = dz[..., 2 * d:3 * d] @ params["proj_time_w"].T
     dargs = np.where(np.arange(freqs.size) % 2, np.cos(args), -np.sin(args))
     g["time_freq"] += (np.sqrt(1.0 / freqs.size)
@@ -316,8 +339,32 @@ def unfolded_loss_and_grads(pred, params, feats, pos, neg, rng):
     return loss, g, probs
 
 
+def perturbed_params(dims, rng):
+    params = init_params(dims, seed=4, time_span=5.0)
+    for v in params.values():    # non-zero biases reach every fold term
+        v += rng.normal(scale=0.2, size=v.shape)
+    return params
+
+
+def check_against_reference(pred, params, feats, pos, neg, rtol=1e-10):
+    loss, grads, probs = pred.loss_and_grads(
+        params, feats, pos, neg, training=True,
+        rng=np.random.default_rng(21))
+    want_loss, want_grads, want_probs = unfolded_loss_and_grads(
+        pred, params, feats, pos, neg, np.random.default_rng(21))
+    assert loss == pytest.approx(want_loss, rel=rtol)
+    for got, want in zip(probs, want_probs):
+        np.testing.assert_allclose(got, want, rtol=rtol)
+    assert set(grads) == set(want_grads)
+    for k, want in want_grads.items():
+        atol = rtol * np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(grads[k], want, rtol=rtol, atol=atol,
+                                   err_msg=k)
+
+
 class TestFoldedLayer0:
-    """The folded, weight-centred, blocked encoder against the reference."""
+    """The folded, weight-centred, blocked training step against the
+    reference on the interleaved stack."""
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("feat_dim", [0, 3])
@@ -334,107 +381,119 @@ class TestFoldedLayer0:
     def check(self, rng, monkeypatch, layers, dropout, feat_dim):
         dims = ModelDims(node_dim=feat_dim, edge_dim=feat_dim, time_dim=6,
                          hidden=4, out_dim=3, layers=layers)
-        # 3 float64 sequences per block, which training rounds up to 4:
-        # S=10 ends in a ragged block of 2
-        monkeypatch.setattr(model, "BLOCK_BYTES", 3 * 5 * dims.fused * 8)
+        # 4 float64 pairs per block: 6 pairs end in a ragged block of 2
+        monkeypatch.setattr(model, "PAIR_BLOCK_BYTES",
+                            4 * 2 * 5 * dims.fused * 8)
         pred = LinkPredictor(dims, dropout=dropout)
-        params = init_params(dims, seed=4, time_span=5.0)
-        for v in params.values():    # non-zero biases reach every fold term
-            v += rng.normal(scale=0.2, size=v.shape)
+        params = perturbed_params(dims, rng)
         feats = make_feats(rng, S=10, l=5, d_N=feat_dim, d_E=feat_dim)
+        # sequences 0, 1, 2 and 6 serve two pairs each; 8 and 9 serve none
         pos = (np.array([0, 1, 2]), np.array([3, 4, 5]))
         neg = (np.array([0, 1, 6]), np.array([6, 7, 2]))
-        loss, grads, probs = pred.loss_and_grads(
-            params, feats, pos, neg, training=True,
-            rng=np.random.default_rng(21))
-        want_loss, want_grads, want_probs = unfolded_loss_and_grads(
-            pred, params, feats, pos, neg, np.random.default_rng(21))
-
-        assert loss == pytest.approx(want_loss, rel=1e-10)
-        for got, want in zip(probs, want_probs):
-            np.testing.assert_allclose(got, want, rtol=1e-10)
-        assert set(grads) == set(want_grads)
-        for k, want in want_grads.items():
-            atol = 1e-10 * np.abs(want).max(initial=0.0)
-            np.testing.assert_allclose(grads[k], want, rtol=1e-10, atol=atol,
-                                       err_msg=k)
+        check_against_reference(pred, params, feats, pos, neg)
 
 
 class TestBlockedEncoder:
-    """Blocks of whole sequences compute the one-block function and draws."""
+    """Blocks of whole pairs compute the one-block function and draws."""
 
-    def outputs(self, monkeypatch, block_seqs, S, layers, training,
+    def outputs(self, monkeypatch, block_pairs, S, layers, training,
                 hidden=4):
         dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=hidden,
                          out_dim=3, layers=layers)
         l, f = 5, dims.fused
-        # block_seqs whole float64 sequences per block
-        monkeypatch.setattr(model, "BLOCK_BYTES", block_seqs * l * f * 8)
+        # block_pairs whole float64 pairs per block
+        monkeypatch.setattr(model, "PAIR_BLOCK_BYTES",
+                            block_pairs * 2 * l * f * 8)
         r = np.random.default_rng(S)
-        params = init_params(dims, seed=4, time_span=5.0)
-        for v in params.values():
-            v += r.normal(scale=0.2, size=v.shape)
+        params = perturbed_params(dims, r)
         feats = make_feats(r, S=S, l=l, d_N=2, d_E=1)
         pred = LinkPredictor(dims, dropout=0.3)
         a = np.arange(S)
         pos, neg = (a, np.roll(a, 1)), (np.roll(a, 2), a)
-        h, tape = pred.encode(params, feats, training=training,
-                              rng=np.random.default_rng(21))
-        loss, grads, _ = pred.loss_and_grads(params, feats, pos, neg,
-                                             training=training,
-                                             rng=np.random.default_rng(21))
-        return h, tape, loss, grads
+        return pred.loss_and_grads(params, feats, pos, neg,
+                                   training=training,
+                                   rng=np.random.default_rng(21))
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("S", [10, 8, 2, 1])
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_one_block(self, monkeypatch, layers, S, training):
-        # 3 sequences per block, rounded up to 4: S=10 ends in a ragged
-        # block of 2, S=8 in two whole blocks, S=2 and S=1 fit in one
+        # 2S pairs, 3 per block: S=10 and S=8 end in a ragged block, S=1
+        # fits in one
         self.check(monkeypatch, 3, S, layers, training)
 
     @pytest.mark.parametrize("S", [7, 5])
     def test_block_draws_not_a_multiple_of_4(self, monkeypatch, S):
-        # hidden 1 and l 5: a sequence takes 25 uint16 draws, so blocks of
-        # 1 or 3 sequences would end mid-word; training rounds them up to 4
-        # sequences, and the result equals the one-block run
-        for block_seqs in (1, 3):
-            self.check(monkeypatch, block_seqs, S, 2, True, hidden=1)
+        # hidden 1 and l 5: a pair's run is 50 L uint16 draws, so with an
+        # odd L blocks of 1 or 3 pairs would end mid-word; training rounds
+        # them up to even pairs, and the result equals the one-block run
+        for block_pairs in (1, 3):
+            for layers in (1, 2, 3):
+                self.check(monkeypatch, block_pairs, S, layers, True,
+                           hidden=1)
 
-    def check(self, monkeypatch, block_seqs, S, layers, training, hidden=4):
-        h, tape, loss, grads = self.outputs(monkeypatch, block_seqs, S,
-                                            layers, training, hidden)
-        h1, tape1, loss1, grads1 = self.outputs(monkeypatch, 10 ** 6, S,
-                                                layers, training, hidden)
-        np.testing.assert_allclose(h, h1, rtol=1e-12, atol=1e-12)
-        for got, want in zip(tape.layers, tape1.layers):
-            for a, b in zip(got, want):
-                if a is None or b is None:
-                    assert a is None and b is None
-                else:
-                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    def check(self, monkeypatch, block_pairs, S, layers, training, hidden=4):
+        loss, grads, probs = self.outputs(monkeypatch, block_pairs, S,
+                                          layers, training, hidden)
+        loss1, grads1, probs1 = self.outputs(monkeypatch, 10 ** 6, S,
+                                             layers, training, hidden)
         assert loss == pytest.approx(loss1, rel=1e-12)
+        for got, want in zip(probs, probs1):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
         for k, want in grads1.items():
             atol = 1e-12 * np.abs(want).max(initial=0.0)
             np.testing.assert_allclose(grads[k], want, rtol=1e-12, atol=atol,
                                        err_msg=k)
 
-    @pytest.mark.parametrize("S", [8, 1])
-    def test_masks_are_whole_layer_draws(self, monkeypatch, S):
-        _, tape, _, _ = self.outputs(monkeypatch, 3, S, 2, True)
-        r = np.random.default_rng(21)
-        for _, u, _, mask in tape.layers:
-            np.testing.assert_array_equal(mask, raw_bit_mask(r, u.shape, 0.3))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [1, 4])
+    @pytest.mark.parametrize("block_pairs", [1, 3, 10 ** 6])
+    def test_masks_are_per_pair_runs(self, rng, monkeypatch, block_pairs,
+                                     hidden, layers):
+        # blocks of 1 pair, an odd 3 (the 7 pairs end ragged) and one
+        # whole block; with hidden 1 and an odd L a pair's run ends
+        # mid-word, so the blocks hold 2 and 4 pairs
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=hidden,
+                         out_dim=3, layers=layers)
+        monkeypatch.setattr(model, "PAIR_BLOCK_BYTES",
+                            block_pairs * 2 * 5 * dims.fused * 8)
+        pred = LinkPredictor(dims, dropout=0.3)
+        feats = make_feats(rng, S=8, l=5, d_N=2, d_E=1)
+        pos = (np.array([0, 1, 2, 3]), np.array([4, 5, 6, 7]))
+        neg = (np.array([0, 1, 2]), np.array([7, 6, 0]))
+        check_against_reference(pred, perturbed_params(dims, rng), feats,
+                                pos, neg)
+
+    def test_training_never_builds_an_s_l_5d_array(self, rng):
+        dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=50,
+                         out_dim=50, layers=1)
+        S, l = 200, 32
+        pred = LinkPredictor(dims, dropout=0.1)
+        params, feats = TestTapeFreeEncode.setup(rng, dims, S=S, l=l,
+                                                 dtype=np.float32)
+        one = S * l * dims.fused * np.dtype(np.float32).itemsize   # 6.4 MB
+        a = np.arange(S // 2)
+        tracemalloc.start()
+        try:
+            pred.loss_and_grads(params, feats, (a[::2], a[1::2]),
+                                (a[::2] + S // 2, a[1::2] + S // 2),
+                                training=True, rng=np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # scratch for one block of about PAIR_BLOCK_BYTES per (rows, 5d)
+        # array, kept by the predictor
+        assert peak < one / 2
 
 
 class TestTapeFreeEncode:
-    """encode(tape=False): the collapsed last layer against the tape path."""
+    """encode: the collapsed last layer, with no tape, against the
+    full-layer forward that training runs (the tape path), here the
+    unfolded reference."""
 
     @staticmethod
     def setup(rng, dims, S=8, l=5, dtype=np.float64):
-        params = init_params(dims, seed=4, time_span=5.0)
-        for v in params.values():    # non-zero biases reach every term
-            v += rng.normal(scale=0.2, size=v.shape)
+        params = perturbed_params(dims, rng)
         feats = make_feats(rng, S=S, l=l, d_N=dims.node_dim,
                            d_E=dims.edge_dim)
         cast = lambda a: a.astype(dtype)
@@ -457,9 +516,8 @@ class TestTapeFreeEncode:
         monkeypatch.setattr(model, "BLOCK_BYTES", block_seqs * l * (k + 1) * 8)
         pred = LinkPredictor(dims, dropout=0.3)
         params, feats = self.setup(rng, dims, l=l)
-        want, _ = pred.encode(params, feats)
-        h, tape = pred.encode(params, feats, tape=False)
-        assert tape is None
+        want = unfolded_forward(pred, params, feats)[0]
+        h = pred.encode(params, feats)
         np.testing.assert_allclose(h, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -471,17 +529,11 @@ class TestTapeFreeEncode:
         p64, f64 = self.setup(np.random.default_rng(3), dims, S=20, l=7)
         p32, f32 = self.setup(np.random.default_rng(3), dims, S=20, l=7,
                               dtype=np.float32)
-        want, _ = pred.encode(p64, f64)
-        h, _ = pred.encode(p32, f32, tape=False)
+        want = pred.encode(p64, f64)
+        h = pred.encode(p32, f32)
         assert h.dtype == np.float32
         np.testing.assert_allclose(h, want, rtol=0,
                                    atol=1e-5 * np.abs(want).max())
-
-    def test_training_needs_the_tape(self, rng):
-        pred = LinkPredictor(SMALL, dropout=0.0)
-        with pytest.raises(ConfigError, match="tape"):
-            pred.encode(init_params(SMALL, 0), make_feats(rng),
-                        training=True, tape=False)
 
     def test_never_builds_an_s_l_5d_array(self, rng):
         dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=50,
@@ -492,14 +544,10 @@ class TestTapeFreeEncode:
         one = S * l * dims.fused * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:
-            pred.encode(params, feats, tape=False)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             pred.encode(params, feats)
-            tape_peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tape_peak > one      # the tape path does build it
         assert peak < one
 
     @pytest.mark.parametrize("layers", [1, 2])
@@ -512,7 +560,7 @@ class TestTapeFreeEncode:
         whole = S * l * k * np.dtype(np.float32).itemsize    # 5.5 MB
         tracemalloc.start()
         try:
-            pred.encode(params, feats, tape=False)
+            pred.encode(params, feats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,26 +574,24 @@ class TestDropout:
     def test_requires_rng_in_training(self, rng):
         pred = LinkPredictor(SMALL, dropout=0.2)
         with pytest.raises(ConfigError):
-            pred.encode(init_params(SMALL, 0), make_feats(rng), training=True)
+            pred.loss_and_grads(init_params(SMALL, 0), make_feats(rng), POS,
+                                NEG, training=True)
 
     def test_mask_replay_and_inverted_scaling(self, rng):
         pred = LinkPredictor(SMALL, dropout=0.5)
-        params = init_params(SMALL, seed=0)
+        params = perturbed_params(SMALL, rng)
         feats = make_feats(rng)
-        h1, tape1 = pred.encode(params, feats, training=True,
-                                rng=np.random.default_rng(5))
-        h2, _ = pred.encode(params, feats, training=True,
-                            rng=np.random.default_rng(5))
-        h3, _ = pred.encode(params, feats, training=True,
-                            rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(h1, h2)
-        assert (h1 != h3).any()
-        # the second layer's input is the first layer's dropped output,
-        # then a ones column; 0.5 is exact on the 1/2^16 grid
-        z_in1 = tape1.layers[1][0]
-        _, u0, inv0, mask0 = tape1.layers[0]
-        np.testing.assert_allclose(z_in1[..., :-1], u0 * inv0 * mask0 / 0.5)
-        np.testing.assert_array_equal(z_in1[..., -1], 1.0)
+
+        def step(seed):
+            return pred.loss_and_grads(params, feats, POS, NEG, training=True,
+                                       rng=np.random.default_rng(seed))
+
+        (l1, g1, _), (l2, g2, _), (l3, _, _) = step(5), step(5), step(6)
+        assert l1 == l2 and l1 != l3
+        for k in g1:
+            np.testing.assert_array_equal(g1[k], g2[k])
+        # 0.5 is exact on the 1/2^16 grid: kept outputs are doubled
+        check_against_reference(pred, params, feats, POS, NEG)
 
     @pytest.mark.parametrize("p", [0.1, 0.3])
     def test_quantised_keep_rate_and_scale(self, rng, p):
@@ -556,24 +602,30 @@ class TestDropout:
         model._dropout_mask(np.random.default_rng(8), t, mask)
         sigma = np.sqrt(keep * (1.0 - keep) / n)
         assert abs(mask.mean() - keep) < 5 * sigma
-        # the scale applied to an inner layer's kept outputs is exactly
-        # 1 / (1 - t/2^16), not 1 / (1 - p)
+        # one call's chunks make one whole draw
+        np.testing.assert_array_equal(
+            mask, pair_masks(np.random.default_rng(8), 1, dataclasses.replace(
+                SMALL, hidden=1, layers=1), n // 10, p)[0].ravel())
+        # the scale applied to kept outputs is exactly 1 / (1 - t/2^16),
+        # as the reference divides, not 1 / (1 - p)
         pred = LinkPredictor(SMALL, dropout=p)
-        _, tape = pred.encode(init_params(SMALL, seed=0), make_feats(rng),
-                              training=True, rng=np.random.default_rng(5))
-        _, u0, inv0, mask0 = tape.layers[0]
-        np.testing.assert_array_equal(tape.layers[1][0][..., :-1],
-                                      (u0 * mask0) * (inv0 * (1.0 / keep)))
+        check_against_reference(pred, perturbed_params(SMALL, rng),
+                                make_feats(rng), POS, NEG)
         assert 1.0 / keep != 1.0 / (1.0 - p)
 
     def test_eval_mode_ignores_dropout(self, rng):
         pred = LinkPredictor(SMALL, dropout=0.9)
         params = init_params(SMALL, seed=0)
         feats = make_feats(rng)
-        h1, tape = pred.encode(params, feats)
-        h2, _ = pred.encode(params, feats)
-        np.testing.assert_array_equal(h1, h2)
-        assert tape.layers[0][3] is None
+        np.testing.assert_array_equal(pred.encode(params, feats),
+                                      pred.encode(params, feats))
+        # outside training nothing is drawn or dropped
+        plain = LinkPredictor(SMALL, dropout=0.0)
+        got = pred.loss_and_grads(params, feats, POS, NEG)
+        want = plain.loss_and_grads(params, feats, POS, NEG)
+        assert got[0] == want[0]
+        for k in want[1]:
+            np.testing.assert_array_equal(got[1][k], want[1][k])
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigError):
