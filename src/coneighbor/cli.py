@@ -22,7 +22,8 @@ from . import bench as bench_mod
 from . import harness, oracle
 from .config import RunConfig
 from .data import CsvLayout, load_events
-from .errors import CheckpointError, ConfigError, DataError, NumericalError
+from .errors import (CheckpointError, ConfigError, DataError, NumericalError,
+                     UndefinedMetricError)
 from .harness import write_json
 from .model import load_params
 
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError, OSError) as e:
+    except (DataError, CheckpointError, UndefinedMetricError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

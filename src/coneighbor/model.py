@@ -595,14 +595,21 @@ class LinkPredictor:
 
 @dataclass
 class AdamState:
+    """Moments per parameter, the step count, and ``scratch``: two rows as
+    long as the largest parameter, which every step works in so that it
+    allocates no parameter-sized array.  All parameters share one dtype."""
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: np.ndarray
     step: int = 0
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
+    size = max(p.size for p in params.values())
     return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                     v={k: np.zeros_like(p) for k, p in params.items()})
+                     v={k: np.zeros_like(p) for k, p in params.items()},
+                     scratch=np.empty((2, size),
+                                      np.result_type(*params.values())))
 
 
 def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
@@ -610,11 +617,16 @@ def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
               eps: float = 1e-8) -> None:
     """One in-place Adam update with bias correction.
 
+    Computes ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2)
+    g g`` and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)`` operation by
+    operation in that order, into the state's scratch rows.
+
     Aborts with diagnostics if any gradient is non-finite; silently
     producing NaN parameters would poison every later batch.
     """
     for k, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        # min and max carry any NaN and reach any inf, without a g-sized mask
+        if not np.isfinite([g.min(initial=0), g.max(initial=0)]).all():
             bad = int(np.size(g) - np.isfinite(g).sum())
             raise NumericalError(
                 f"non-finite gradient in {k!r} at step {state.step + 1} "
@@ -627,8 +639,15 @@ def adam_step(params, grads, state: AdamState, lr: float = 1e-4,
         g = grads[k]
         m = state.m[k]
         v = state.v[k]
+        a, b = (row[:p.size].reshape(p.shape) for row in state.scratch)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, c1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        p -= np.divide(a, b, out=a)

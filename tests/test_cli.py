@@ -89,6 +89,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "data error: line 2: node id -2 is negative\n")
 
+    @pytest.mark.parametrize("seed,phase", [(0, "val"), (1, "test")])
+    def test_phase_scoring_no_event_is_data_error(self, tmp_path, capsys,
+                                                  seed, phase):
+        # train among nodes 0-9, val among 0-4, test among 5-9: one masked
+        # node (a tenth of ten) leaves one of the two phases nothing to score
+        rng = np.random.default_rng(0)
+        rows = [rng.choice(np.arange(lo, lo + width), 2, replace=False)
+                for lo, width, n in ((0, 10, 70), (0, 5, 15), (5, 5, 15))
+                for _ in range(n)]
+        path = tmp_path / "stream.csv"
+        path.write_text("".join(f"{s},{d},{t}\n"
+                                for t, (s, d) in enumerate(rows, 1)))
+        code = run_cli("train", "--data", str(path), "--out",
+                       str(tmp_path / "out"), *FAST, "--mode", "inductive",
+                       "--inductive-fraction", "0.1", "--seed", str(seed))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: no scored events in phase {phase!r}\n")
+
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"],
         ["train", "--delimiter", ""],

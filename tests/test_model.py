@@ -661,6 +661,51 @@ class TestAdam:
         assert st.step == 3
         assert params["w"][0] < -0.29   # three near-full steps downhill
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_textbook_update_bit_for_bit(self, rng, dtype):
+        params = init_params(SMALL, seed=3, dtype=dtype)
+        want = copy_params(params)
+        m = {k: np.zeros_like(p) for k, p in want.items()}
+        v = {k: np.zeros_like(p) for k, p in want.items()}
+        st = adam_init(params)
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=p.shape).astype(dtype)
+                     for k, p in params.items()}
+            adam_step(params, grads, st, lr=1e-2)
+            textbook_adam(want, grads, m, v, t, lr=1e-2)
+            for k in want:
+                np.testing.assert_array_equal(params[k], want[k])
+                np.testing.assert_array_equal(st.m[k], m[k])
+                np.testing.assert_array_equal(st.v[k], v[k])
+                assert params[k].dtype == dtype
+
+    def test_a_step_allocates_no_parameter_sized_array(self):
+        params = {"big": np.ones((250, 250)), "b": np.ones(250),
+                  "empty": np.ones((0, 3))}
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        st = adam_init(params)
+        adam_step(params, grads, st)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # textbook_adam's expressions build six 500 kB temporaries for "big",
+        # and even a boolean mask of it would take 62.5 kB
+        assert peak < 10_000
+
+
+def textbook_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                  eps=1e-8):
+    """Adam with bias correction as whole-array expressions."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for k, g in grads.items():
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        params[k] = params[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+
 
 STREAM = {"num_nodes": 5, "num_events": 9, "sha256": "0" * 64}
 
