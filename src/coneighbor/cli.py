@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
     params, dims, stored, stream = load_params(args.checkpoint)
     try:
         cfg = RunConfig.from_dict(stored)
-    except (ConfigError, TypeError) as e:
+    except ConfigError as e:
         raise CheckpointError(f"checkpoint {args.checkpoint}: stored config "
                               f"is invalid: {e}") from e
     g = load_events(args.data, _layout(args))

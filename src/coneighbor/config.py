@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -71,6 +72,16 @@ class RunConfig:
     float32: bool = field(default=False, metadata={"help": "train in float32"})
 
     def validate(self) -> "RunConfig":
+        # each field takes values of its default's kind; bool is an int
+        # to Python, but not to a field
+        kinds = {bool: bool, int: numbers.Integral, float: numbers.Real,
+                 str: str}
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if (not isinstance(value, kinds[kind])
+                    or isinstance(value, bool) is not (kind is bool)):
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, "
+                                  f"not {value!r}")
         if not 0.0 < self.train_frac < 1.0 or not 0.0 < self.val_frac < 1.0:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_frac + self.val_frac >= 1.0:

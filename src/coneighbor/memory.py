@@ -84,9 +84,9 @@ class HashTableMemory:
     """N slot-rows of width M plus one permanently empty row for padding.
 
     Row index ``sentinel`` (== num_nodes) backs padded sequence positions:
-    gathers through it are valid and see an all-empty row, and inserts are
-    never allowed to target it.  ``store`` holds each slot's quotient
-    id // M, or ``empty``; ``table`` decodes it to ids.
+    gathers through it are valid and see an all-empty row, and ``insert``
+    and ``write`` raise IndexError for it.  ``store`` holds each slot's
+    quotient id // M, or ``empty``; ``table`` decodes it to ids.
     """
 
     def __init__(self, num_nodes: int, width: int, multiplier: int):
@@ -136,23 +136,31 @@ class HashTableMemory:
         return (np.asarray(node_id, dtype=np.int64) * self.multiplier) % self.width
 
     def insert(self, owner: int, neighbor: int) -> None:
+        """Store neighbor in owner's row; either outside [0, num_nodes)
+        raises IndexError."""
+        if not (0 <= owner < self.num_nodes and 0 <= neighbor < self.num_nodes):
+            raise IndexError(f"insert({owner}, {neighbor}) outside "
+                             f"[0, {self.num_nodes})")
         self.store[owner, self.slot_of(neighbor)] = self._quot[neighbor]
 
     def write(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] into row rows[i] in order of i.
 
-        A value of num_nodes or more, the sentinel included, raises
-        IndexError.  Where several writes hit the same slot the last one
-        wins.  That is resolved here by keeping the last occurrence of each
-        slot, not left to numpy's unspecified order for duplicate
-        fancy-assignment indices: each write's key packs its flat slot above
-        its position i in b low bits, so one unstable sort orders the keys by
-        slot and then by i, and the last key of each run of equal slots names
-        the winner.
+        A row or value outside [0, num_nodes), the sentinel included,
+        raises IndexError and writes nothing.  Where several writes hit the
+        same slot the last one wins.  That is resolved here by keeping the
+        last occurrence of each slot, not left to numpy's unspecified order
+        for duplicate fancy-assignment indices: each write's key packs its
+        flat slot above its position i in b low bits, so one unstable sort
+        orders the keys by slot and then by i, and the last key of each run
+        of equal slots names the winner.
         """
         n = values.size
         if n == 0:
             return
+        # values of num_nodes or more fail the _slots lookup below
+        if values.min() < 0:
+            raise IndexError(f"write values must lie in [0, {self.num_nodes})")
         b = (n - 1).bit_length()
         if self.store.size << b > np.iinfo(np.int64).max:
             raise ConfigError(
@@ -161,6 +169,9 @@ class HashTableMemory:
         lin = rows * self.width + self._slots[values]
         keys = np.sort((lin << b) | np.arange(n))
         slot = keys >> b
+        # slot is sorted, and a row is in range iff its flat slots are
+        if slot[0] < 0 or slot[-1] >= self.num_nodes * self.width:
+            raise IndexError(f"write rows must lie in [0, {self.num_nodes})")
         last = np.append(slot[1:] != slot[:-1], True)
         self.store.reshape(-1)[slot[last]] = self._quot[
             values[keys[last] & ((1 << b) - 1)]]

@@ -51,12 +51,14 @@ gradient.  The block's (rows, 5d) temporaries live in scratch that the
 predictor sizes at first use and reuses.
 
 Scoring (encode) runs inner layers in blocks of whole sequences sized by
-BLOCK_BYTES and collapses the last layer, never building its (S, l, 5d)
-output.  With A_p the layer's input at position p, layer norm needs only
-|A_p V|^2 = |A_p R^T|^2, where R is the triangular factor of one float64
-QR of V^T: at most k+1 columns wide for a k-wide input, and a sum of
-squares, so nothing cancels.  Mean-pooling is linear, so it moves before
-the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.
+BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
+does, and collapses the last layer, never building its (S, l, 5d)
+output.  With a_p the last layer's k-wide input at position p and
+A_p = [a_p, 1], the form every layer's input already has, layer norm
+needs only |A_p V|^2 = |A_p R^T|^2, where R is the triangular factor of
+one float64 QR of V^T, applied whole: at most k+1 columns wide, and a sum
+of squares, so nothing cancels.  Mean-pooling is linear, so it moves
+before the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.
 Training keeps the full layer: the masks make the pooled sum nonlinear
 in A_p.
 
@@ -327,48 +329,32 @@ class LinkPredictor:
             z[..., f] = 1.0
             for blk in _blocks(S, l * f * np.dtype(dtype).itemsize,
                                BLOCK_BYTES):
-                # layer 0's input [raw inputs, 1] is built per block
-                ab = (self._inputs(params, feats, blk, tail=True)
-                      if z_in is None else z_in[blk])
-                ub = self._scratch(("u", 0), (len(ab), l, f), dtype)
+                n = blk.stop - blk.start
+                ab = (self._layer0_input(params, feats, blk, self._scratch(
+                    "a0", (n, l, V.shape[0]), dtype)) if z_in is None
+                      else z_in[blk])
+                ub = self._scratch(("u", 0), (n, l, f), dtype)
                 np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
                 np.multiply(ub, _inv_std(ub, f), out=z[blk, :, :f])
-        return self._collapsed_last_layer(
-            params, feats, None if z is None else z[..., :f], weights[-1],
-            dtype)
+        return self._collapsed_last_layer(params, feats, z, weights[-1], dtype)
 
-    def _inputs(self, params, feats: SequenceFeatures,
-                blk: slice = slice(None), tail: bool = False) -> np.ndarray:
-        """Raw block inputs of the sequences blk, concatenated: (n, l, k);
-        tail appends a ones column, the input of V's bias row."""
-        dt = feats.dt[blk]
-        te = time_encode(dt, params["time_freq"])
-        parts = [feats.node[blk], feats.edge[blk], te, feats.co_long[blk],
-                 feats.co_short[blk]]
-        if tail:
-            parts.append(np.ones(dt.shape + (1,), te.dtype))
-        return np.concatenate(parts, axis=-1)
-
-    def _collapsed_last_layer(self, params, feats, a_in, V, dtype):
+    def _collapsed_last_layer(self, params, feats, z, V, dtype):
         """(S, d_o) readout of the last layer, without dropout, from its
-        (S, l, k) input a_in (None: the raw inputs, built per block); the
-        module docstring derives the form."""
+        (S, l, k + 1) input A = [a, 1]: z, or layer 0's when z is None,
+        built per block; the module docstring derives the form."""
         S, l = feats.dt.shape
-        k = V.shape[0] - 1
+        k1 = V.shape[0]
         R = np.linalg.qr(V.T.astype(np.float64), mode="r").astype(dtype)
-        r_w, r_b = R[:, :k].T, R[:, k]
-        wc = np.empty((S, k + 1), dtype)        # sum_p inv_p * A_p
+        wc = np.empty((S, k1), dtype)        # sum_p inv_p * A_p
         # no temporary here is wider than k + 1
-        for blk in _blocks(S, l * (k + 1) * np.dtype(dtype).itemsize,
-                           BLOCK_BYTES):
-            ab = (self._inputs(params, feats, blk) if a_in is None
-                  else a_in[blk])
-            u = ab.reshape(-1, k) @ r_w
-            u += r_b
+        for blk in _blocks(S, l * k1 * np.dtype(dtype).itemsize, BLOCK_BYTES):
+            ab = (self._layer0_input(params, feats, blk, self._scratch(
+                "a0", (blk.stop - blk.start, l, k1), dtype)) if z is None
+                  else z[blk])
+            u = ab.reshape(-1, k1) @ R.T
             # |u|^2 = |y|^2 of the f-wide layer output y
             c = _inv_std(u, self.dims.fused).reshape(-1, 1, l)
-            np.matmul(c, ab, out=wc[blk, None, :k])
-            wc[blk, k] = c.sum(axis=(1, 2))
+            np.matmul(c, ab, out=wc[blk, None])
         return wc @ (V @ params["out_w"] / l) + params["out_b"]
 
     def _fold_layer0(self, params):
@@ -564,18 +550,20 @@ class LinkPredictor:
         return p
 
     def _layer0_input(self, params, feats, idx, out):
-        """Write [raw inputs, 1, D] of the sequences idx into out
-        (n, l, k + 1 + d_T), with D = dt * d(time encoding)/d(args) of its
-        trig columns, unscaled; returns out."""
+        """Write layer 0's input [raw inputs, 1] of the sequences idx into
+        out[..., :k + 1], k = d_N + d_E + d_T + 4, and, when out is wider
+        (training), D = dt * d(time encoding)/d(args) of its trig columns,
+        unscaled, into out[..., k + 1:]; returns out."""
         d_N, d_T = feats.node.shape[-1], self.dims.time_dim
-        t0, k = d_N + feats.edge.shape[-1], out.shape[-1] - 1 - d_T
+        t0 = d_N + feats.edge.shape[-1]
+        k = t0 + d_T + 4
         dt = feats.dt[idx][..., None]
         out[..., :d_N] = feats.node[idx]
         out[..., d_N:t0] = feats.edge[idx]
         out[..., t0 + d_T:k - 2] = feats.co_long[idx]
         out[..., k - 2:k] = feats.co_short[idx]
         out[..., k] = 1.0
-        te, D = out[..., t0:t0 + d_T], out[..., k + 1:]
+        te = out[..., t0:t0 + d_T]
         # cos and sin of the arguments, contiguous, in G's buffer (unused yet)
         cos, sin = self._scratch("G", (2,) + dt.shape[:2] + (d_T,), out.dtype)
         np.multiply(dt, params["time_freq"], out=cos)
@@ -584,9 +572,10 @@ class LinkPredictor:
         scale = out.dtype.type(np.sqrt(1.0 / d_T))
         np.multiply(cos[..., 0::2], scale, out=te[..., 0::2])
         np.multiply(sin[..., 1::2], scale, out=te[..., 1::2])
-        # d/d(args) of [cos, sin, ...] is [-sin, cos, ...]
-        np.multiply(sin[..., 0::2], -dt, out=D[..., 0::2])
-        np.multiply(cos[..., 1::2], dt, out=D[..., 1::2])
+        if out.shape[-1] > k + 1:
+            # d/d(args) of [cos, sin, ...] is [-sin, cos, ...]
+            np.multiply(sin[..., 0::2], -dt, out=out[..., k + 1::2])
+            np.multiply(cos[..., 1::2], dt, out=out[..., k + 2::2])
         return out
 
 

@@ -41,7 +41,10 @@ def run_cli(*argv):
 # stored configs that are not a valid RunConfig, as JSON text
 BAD_STORED_CONFIGS = {"config_null": "null", "config_list": "[1, 2]",
                       "config_str": '"x"', "config_seq_len_0": '{"seq_len": 0}',
-                      "config_seq_len_str": '{"seq_len": "x"}'}
+                      "config_seq_len_str": '{"seq_len": "x"}',
+                      "config_seq_len_float": '{"seq_len": 2.5}',
+                      "config_long_size_float": '{"long_size": 64.0}',
+                      "config_no_cne_str": '{"no_cne": "false"}'}
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coneighbor.config import RunConfig
@@ -23,10 +24,19 @@ class TestValidate:
         dict(dropout=-0.1), dict(dropout=1.0), dict(lr=-1e-4),
         dict(batch_size=0), dict(epochs=0), dict(patience=0),
         dict(neg_ratio=0), dict(seed=-1),
+        # values not of the field's kind
+        dict(seq_len=2.5), dict(long_size=64.0), dict(no_cne="false"),
+        dict(float32=1), dict(seed=True), dict(lr="1e-4"), dict(mode=None),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
             RunConfig(**kw).validate()
+
+    def test_numeric_kinds_allowed(self):
+        # an int where a float is due, and numpy scalars of either kind
+        cfg = RunConfig(lr=0, dropout=np.float32(0.5), seq_len=np.int64(5),
+                        train_frac=np.float64(0.6)).validate()
+        assert cfg.seq_len == 5
 
     def test_zero_lr_allowed(self):
         # a frozen-parameter epoch is a legitimate diagnostic run

@@ -118,6 +118,23 @@ class TestHashTableBasics:
             m.write(np.array([1, 2]), np.array([5, value]))
         np.testing.assert_array_equal(m.table, before)
 
+    @pytest.mark.parametrize("method", ["insert", "write"])
+    @pytest.mark.parametrize("row, value", [(10, 3), (-1, 3), (0, -1),
+                                            (0, 10)])
+    def test_rows_and_values_outside_the_nodes_rejected(self, method, row,
+                                                        value):
+        # row 10 is the padding row; value 10 would decode to it
+        m = HashTableMemory(10, 4, 1)
+        m.insert(2, 5)
+        before = m.store.copy()
+        with pytest.raises(IndexError):
+            if method == "insert":
+                m.insert(row, value)
+            else:
+                m.write(np.array([1, row]), np.array([4, value]))
+        np.testing.assert_array_equal(m.store, before)
+        assert (m.table[m.sentinel] == m.sentinel).all()
+
     def test_write_rejects_keys_that_overflow_int64(self):
         m = HashTableMemory(1, 1, 1)
         # a read-only view of 2^59 slots; 16 writes take 4 key bits: 2^63

@@ -57,6 +57,26 @@ class TestTimeEncode:
             enc, sc * np.array([np.cos(1.7 * 0.3), np.sin(1.7 * 0.7),
                                 np.cos(1.7 * 1.3), np.sin(1.7 * 2.9)]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_layer0_input_is_the_concatenated_raw_inputs(self, rng, dtype,
+                                                         training):
+        # the one layer-0 builder writes time_encode's columns bit for bit,
+        # for scoring's [raw inputs, 1] and training's [raw inputs, 1, D]
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=4,
+                         out_dim=3, layers=1)
+        params, feats = TestTapeFreeEncode.setup(rng, dims, dtype=dtype)
+        feats.dt *= dtype(1e4)
+        S, l = feats.dt.shape
+        width = 2 + 1 + 6 + 4 + 1 + (6 if training else 0)
+        out = LinkPredictor(dims, 0.1)._layer0_input(
+            params, feats, slice(None), np.empty((S, l, width), dtype))
+        want = np.concatenate(
+            [feats.node, feats.edge, time_encode(feats.dt, params["time_freq"]),
+             feats.co_long, feats.co_short, np.ones((S, l, 1), dtype)], axis=-1)
+        assert out.dtype == want.dtype == dtype
+        assert out[..., :14].tobytes() == want.tobytes()
+
     def test_frequency_ladder_geometric_and_span_anchored(self):
         span = 500.0
         freqs = init_time_frequencies(8, span)
