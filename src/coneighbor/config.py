@@ -56,7 +56,6 @@ class RunConfig:
     batch_size: int = 200
     epochs: int = 10
     patience: int = 5
-    neg_ratio: int = 1
 
     # ablation switches
     no_cne: bool = field(default=False,
@@ -106,8 +105,8 @@ class RunConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.lr < 0.0 or self.seed < 0:
             raise ConfigError("lr and seed must be non-negative")
-        if min(self.batch_size, self.epochs, self.patience, self.neg_ratio) < 1:
-            raise ConfigError("batch_size, epochs, patience, neg_ratio must be >= 1")
+        if min(self.batch_size, self.epochs, self.patience) < 1:
+            raise ConfigError("batch_size, epochs and patience must be >= 1")
         return self
 
     def to_dict(self) -> dict:

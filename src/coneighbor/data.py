@@ -85,22 +85,6 @@ class TemporalGraph:
     def node_dim(self) -> int:
         return self.node_feats.shape[1]
 
-    def check(self) -> "TemporalGraph":
-        E = self.num_events
-        if E == 0:
-            raise EmptyInputError("event stream is empty")
-        if not (self.dst.shape == (E,) and self.t.shape == (E,)):
-            raise SchemaError("src/dst/t length mismatch")
-        if not np.all(np.isfinite(self.t)):
-            raise DataError("timestamps must be finite")
-        if np.any(np.diff(self.t) < 0):
-            raise DataError("timestamps are not non-decreasing")
-        lo = min(self.src.min(), self.dst.min())
-        hi = max(self.src.max(), self.dst.max())
-        if lo < 0 or hi >= self.num_nodes:
-            raise DataError("endpoint ids outside [0, num_nodes)")
-        return self
-
     def fingerprint(self) -> dict:
         """Node count, event count and a sha256 of src, dst and t: what a
         checkpoint records of the stream its state is replayed from."""
@@ -296,18 +280,31 @@ def _to_graph(path: Path, fmt: CsvLayout, has_header: bool,
 
 
 def from_arrays(src, dst, t, edge_feats=None, node_feats=None) -> TemporalGraph:
-    """Build a TemporalGraph from raw arrays: sort by time, densify ids."""
+    """Build a TemporalGraph from raw arrays: sort by time, densify ids.
+
+    src, dst and t must be 1-d and of one length, and edge_feats, if
+    given, 2-d with one row per event; anything else raises SchemaError.
+    """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
-    if src.size == 0:
-        raise EmptyInputError("no events")
-    order = np.argsort(t, kind="stable")
-    src, dst, t = src[order], dst[order], t[order]
     if edge_feats is None:
         edge_feats = np.zeros((src.size, 0), dtype=np.float64)
     else:
-        edge_feats = np.asarray(edge_feats, dtype=np.float64)[order]
+        edge_feats = np.asarray(edge_feats, dtype=np.float64)
+    if (src.ndim != 1 or dst.shape != src.shape or t.shape != src.shape
+            or edge_feats.ndim != 2 or len(edge_feats) != src.size):
+        raise SchemaError(
+            f"need 1-d src, dst, t and 2-d edge_feats with one entry or row "
+            f"per event, got shapes {src.shape}, {dst.shape}, {t.shape} "
+            f"and {edge_feats.shape}")
+    if src.size == 0:
+        raise EmptyInputError("no events")
+    if not np.isfinite(t).all():
+        raise DataError("timestamps must be finite")
+    order = np.argsort(t, kind="stable")
+    src, dst, t = src[order], dst[order], t[order]
+    edge_feats = edge_feats[order]
 
     ids = np.unique(np.concatenate([src, dst]))
     if ids[0] < 0:
@@ -326,7 +323,7 @@ def from_arrays(src, dst, t, edge_feats=None, node_feats=None) -> TemporalGraph:
         if node_feats.shape[0] != num_nodes:
             raise SchemaError("node_feats rows != num_nodes")
     return TemporalGraph(src, dst, t, edge_feats, node_feats,
-                         num_nodes, id_map).check()
+                         num_nodes, id_map)
 
 
 def chronological_split(g: TemporalGraph, train_frac: float = 0.70,

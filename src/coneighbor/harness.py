@@ -75,31 +75,27 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
     """Build encoder inputs for a list of (sequence, other-anchor) sides.
 
     Structure counts are pair-specific: each side is counted against its
-    own anchor and against the partner it is being scored with.  A side
-    may name m*K partners for a window of K rows; it is then the window
-    repeated m times, row k of repeat j scored against partner j*K + k.
-    Sides that name the same window object share one gather of its peer
-    rows and one count against its own anchors, per table.  Counts are
-    scaled by the table width so inputs live in [0, 1].  The ablation
-    switches zero-fill the corresponding blocks and leave every other
-    input byte-identical.
+    own anchor and against the partner it is being scored with, one
+    partner per window row.  Sides that name the same window object share
+    one gather of its peer rows and one count against its own anchors, per
+    table.  Counts are scaled by the table width so inputs live in [0, 1].
+    The ablation switches zero-fill the corresponding blocks and leave
+    every other input byte-identical.
     """
-    # distinct windows in order of first use, the partner columns of each,
-    # and per side (window, first partner column, repeats)
+    # distinct windows in order of first use, the partners of each, and
+    # per side (window, its partners' column in the window's counts)
     wins, parts, use = [], [], []
     for seq, other in sides:
-        other = np.asarray(other, dtype=np.int64).reshape(-1, len(seq)).T
         w = next((i for i, s in enumerate(wins) if s is seq), None)
         if w is None:
             w = len(wins)
             wins.append(seq)
             parts.append([])
-        use.append((w, 1 + sum(p.shape[1] for p in parts[w]), other.shape[1]))
-        parts[w].append(other)
+        parts[w].append(np.asarray(other, dtype=np.int64))
+        use.append((w, len(parts[w])))
 
     def stack(name):
-        return np.concatenate([np.tile(getattr(wins[w], name), (m, 1))
-                               for w, _, m in use])
+        return np.concatenate([getattr(wins[w], name) for w, _ in use])
 
     peers = stack("peers")
     K, l = peers.shape
@@ -111,18 +107,17 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
             out.append((co_short, tdm.short))
         counts = []
         for seq, p in zip(wins, parts):
-            c = tdm.co_encode_batch(seq.anchors, np.concatenate(p, axis=1),
+            c = tdm.co_encode_batch(seq.anchors, np.column_stack(p),
                                     seq.peers, seq.valid, cfg.matching,
                                     short=not cfg.no_td)
             counts.append([(x / mem.width).astype(ft.dtype)
                            for x, (_, mem) in zip(c, out)])
         r = 0
-        for w, lo, m in use:
-            n = m * len(wins[w])
+        for w, j in use:
+            n = len(wins[w])
             for (co, _), c in zip(out, counts[w]):
-                blk = co[r:r + n].reshape(m, -1, l, 2)
-                blk[..., 0] = c[..., 0]
-                blk[..., 1] = np.moveaxis(c[..., lo:lo + m], 2, 0)
+                co[r:r + n, :, 0] = c[..., 0]
+                co[r:r + n, :, 1] = c[..., j]
             r += n
     eidx = stack("eidx")
     edge_rows = np.where(eidx < 0, ft.edge_ext.shape[0] - 1, eidx)
@@ -169,7 +164,7 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
                    tdm: TemporalDiverseMemory, hist: HistoryStore,
                    cfg: RunConfig, ft: FeatureTables, pool: np.ndarray,
                    rng: np.random.Generator):
-    """Encoder inputs for B positive pairs and their k negatives each.
+    """Encoder inputs for B positive pairs and one negative each.
 
     Draws the negatives, then their windows.  The four sides are (u, v),
     (v, u), (u, negative) and (negative, u); u's window serves the first
@@ -177,13 +172,13 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
     indices of the positive and negative pairs.
     """
     u, v, t = g.src[ev], g.dst[ev], g.t[ev]
-    B, k = ev.size, cfg.neg_ratio
-    neg = sample_negative(B * k, pool, rng)
-    sqn = hist.recent_batch(neg, np.tile(t, k), cfg.seq_len)
-    sides = [(squ, v), (sqv, u), (squ, neg), (sqn, np.tile(u, k))]
-    r, rn = np.arange(B), np.arange(B * k)
+    B = ev.size
+    neg = sample_negative(B, pool, rng)
+    sqn = hist.recent_batch(neg, t, cfg.seq_len)
+    sides = [(squ, v), (sqv, u), (squ, neg), (sqn, u)]
+    r = np.arange(B)
     return (stack_pair_features(ft, cfg, tdm, sides), (r, B + r),
-            (2 * B + rn, (2 + k) * B + rn))
+            (2 * B + r, 3 * B + r))
 
 
 def _metrics(phase: str, scored: list, loss_sum: float) -> Metrics:

@@ -161,6 +161,9 @@ class HashTableMemory:
         # values of num_nodes or more fail the _slots lookup below
         if values.min() < 0:
             raise IndexError(f"write values must lie in [0, {self.num_nodes})")
+        # checked before packing: a huge row would wrap lin << b into range
+        if rows.min() < 0 or rows.max() >= self.num_nodes:
+            raise IndexError(f"write rows must lie in [0, {self.num_nodes})")
         b = (n - 1).bit_length()
         if self.store.size << b > np.iinfo(np.int64).max:
             raise ConfigError(
@@ -169,9 +172,6 @@ class HashTableMemory:
         lin = rows * self.width + self._slots[values]
         keys = np.sort((lin << b) | np.arange(n))
         slot = keys >> b
-        # slot is sorted, and a row is in range iff its flat slots are
-        if slot[0] < 0 or slot[-1] >= self.num_nodes * self.width:
-            raise IndexError(f"write rows must lie in [0, {self.num_nodes})")
         last = np.append(slot[1:] != slot[:-1], True)
         self.store.reshape(-1)[slot[last]] = self._quot[
             values[keys[last] & ((1 << b) - 1)]]

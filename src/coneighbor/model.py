@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericalError
 
-PARAMS_VERSION = 3
+PARAMS_VERSION = 4
 # checkpoint entries that are not parameters
 _META = ("__version__", "__dims__", "__config__", "__stream__")
 CLAMP_EPS = 1e-7

@@ -197,7 +197,7 @@ NON_DEFAULT = RunConfig(
     train_frac=0.6, val_frac=0.2, mode=INDUCTIVE, inductive_fraction=0.2,
     long_size=32, short_size=8, matching=MATCH_STRICT, seq_len=7, hidden=9,
     time_dim=6, out_dim=5, layers=3, dropout=0.2, lr=1e-3, batch_size=50,
-    epochs=3, patience=2, neg_ratio=2, no_cne=True, no_td=True, no_nup=True,
+    epochs=3, patience=2, no_cne=True, no_td=True, no_nup=True,
     no_tup=True, seed=9, float32=True).validate()
 # (verb, the argv it needs besides config flags)
 CONFIG_VERBS = [("train", ["--data", "x.csv"]),
@@ -312,7 +312,8 @@ class TestEval:
         assert err.startswith("data error: checkpoint was trained on another "
                               "stream") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("kind", ["v1", "wrong_version", "not_npz",
+    @pytest.mark.parametrize("kind", ["v1", "previous_version",
+                                      "wrong_version", "not_npz",
                                       "missing_param", "bad_shape",
                                       *BAD_STORED_CONFIGS])
     def test_bad_checkpoint_is_data_error(self, csv_path, trained, tmp_path,
@@ -320,8 +321,9 @@ class TestEval:
         path = tmp_path / "ckpt.npz"
         if kind == "not_npz":
             path.write_text("src,dst,t\n0,1,2\n")
-        elif kind in ("v1", "wrong_version"):
-            version = 1 if kind == "v1" else PARAMS_VERSION + 1
+        elif kind in ("v1", "previous_version", "wrong_version"):
+            version = {"v1": 1, "previous_version": PARAMS_VERSION - 1,
+                       "wrong_version": PARAMS_VERSION + 1}[kind]
             np.savez(path, __version__=version, __dims__=np.arange(6),
                      w=np.zeros(2))
         else:       # a real checkpoint with one parameter cut

@@ -23,7 +23,7 @@ class TestValidate:
         dict(hidden=0), dict(out_dim=0), dict(layers=0),
         dict(dropout=-0.1), dict(dropout=1.0), dict(lr=-1e-4),
         dict(batch_size=0), dict(epochs=0), dict(patience=0),
-        dict(neg_ratio=0), dict(seed=-1),
+        dict(val_frac=1.0), dict(seed=-1),
         # values not of the field's kind
         dict(seq_len=2.5), dict(long_size=64.0), dict(no_cne="false"),
         dict(float32=1), dict(seed=True), dict(lr="1e-4"), dict(mode=None),

@@ -404,6 +404,17 @@ def test_from_arrays_invariants(num_nodes, num_events, seed):
     np.testing.assert_array_equal(seen, np.arange(g.num_nodes))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(src=[0, 1, 2]),                    # src longer than dst and t
+    dict(dst=[1, 2, 0]),                    # dst longer than src and t
+    dict(t=[0.0, 1.0, 2.0]),                # t longer than src and dst
+    dict(edge_feats=np.ones((3, 2))),       # a feature row with no event
+])
+def test_length_mismatch_rejected(kw):
+    with pytest.raises(SchemaError, match="one entry or row per event"):
+        from_arrays(**{**dict(src=[0, 1], dst=[1, 2], t=[0.0, 1.0]), **kw})
+
+
 def test_negative_node_ids_rejected():
     with pytest.raises(DataError):
         from_arrays([-1, 0], [0, 1], [0.0, 1.0])

@@ -151,12 +151,11 @@ class TestStackPairFeatures:
 
 
 def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
-    """Encoder inputs with every side's window copied, gathered and counted
-    on its own: the reference for the shared path."""
+    """Encoder inputs with every side's window gathered and counted on its
+    own: the reference for the shared path."""
     out = {f.name: [] for f in dataclasses.fields(SequenceFeatures)}
     for seq, other in sides:
-        idx = np.tile(np.arange(len(seq)), len(other) // len(seq))
-        peers, valid, own = seq.peers[idx], seq.valid[idx], seq.anchors[idx]
+        peers = seq.peers
         for name, off in (("long", cfg.no_cne),
                           ("short", cfg.no_cne or cfg.no_td)):
             if off:
@@ -164,15 +163,15 @@ def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
                                                   ft.dtype))
                 continue
             mem = getattr(tdm, name)
-            c = mem.count_windows(np.column_stack([own, other]), peers,
-                                  cfg.matching)
-            c[~valid] = mem.width if cfg.matching == MATCH_PAPER else 0
+            c = mem.count_windows(np.column_stack([seq.anchors, other]),
+                                  peers, cfg.matching)
+            c[~seq.valid] = mem.width if cfg.matching == MATCH_PAPER else 0
             out[f"co_{name}"].append((c / mem.width).astype(ft.dtype))
-        eidx = seq.eidx[idx]
-        out["dt"].append(seq.dt[idx].astype(ft.dtype))
+        out["dt"].append(seq.dt.astype(ft.dtype))
         out["node"].append(ft.node_ext[peers])
-        out["edge"].append(ft.edge_ext[np.where(eidx < 0, len(ft.edge_ext) - 1,
-                                                eidx)])
+        out["edge"].append(ft.edge_ext[np.where(seq.eidx < 0,
+                                                len(ft.edge_ext) - 1,
+                                                seq.eidx)])
     return SequenceFeatures(**{k: np.concatenate(v) for k, v in out.items()})
 
 
@@ -200,10 +199,10 @@ class TestSharedWindows:
         (VAL, dict(matching="strict")),
         (VAL, dict(no_td=True)),
         (VAL, dict(no_cne=True)),
-        (VAL, dict(neg_ratio=3)),
+        (VAL, dict(float32=False)),
         (VAL, dict(mode="inductive")),
         ("train", {}),
-        ("train", dict(neg_ratio=3, matching="strict")),
+        ("train", dict(matching="strict")),
     ])
     def test_shared_gather_equals_per_side_counting(self, rand_graph,
                                                     monkeypatch, phase, kw):
@@ -231,7 +230,7 @@ class TestSharedWindows:
                 assert a.tobytes() == b.tobytes(), f.name
             B = len(sides[0][0])
             # u's window serves (u, v) and (u, negative): three windows
-            assert rows == ([] if cfg.no_cne else [B, B, cfg.neg_ratio * B])
+            assert rows == ([] if cfg.no_cne else [B, B, B])
             checked.append(B)
             return got
 

@@ -120,10 +120,11 @@ class TestHashTableBasics:
 
     @pytest.mark.parametrize("method", ["insert", "write"])
     @pytest.mark.parametrize("row, value", [(10, 3), (-1, 3), (0, -1),
-                                            (0, 10)])
+                                            (0, 10), (2 ** 62, 3)])
     def test_rows_and_values_outside_the_nodes_rejected(self, method, row,
                                                         value):
-        # row 10 is the padding row; value 10 would decode to it
+        # row 10 is the padding row; value 10 would decode to it; row 2^62
+        # would wrap its packed sort key round to row 0
         m = HashTableMemory(10, 4, 1)
         m.insert(2, 5)
         before = m.store.copy()
