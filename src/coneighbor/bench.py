@@ -147,7 +147,7 @@ def _encoding_step(g, hist, tdm, cfg: RunConfig, batch: np.ndarray):
 
     def step():
         squ, sqv = endpoint_windows(hist, u, v, query_t, cfg.seq_len)
-        stack_pair_features(ft, cfg, tdm, [(squ, v), (sqv, u)])
+        stack_pair_features(ft, cfg, tdm, hist, [(squ, v), (sqv, u)])
     return step
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -103,8 +104,12 @@ class RunConfig:
             raise ConfigError("hidden, out_dim and layers must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.lr < 0.0 or self.seed < 0:
-            raise ConfigError("lr and seed must be non-negative")
+        # NaN fails every comparison, so the bounds are written to pass only
+        # finite non-negative values
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and non-negative, not {self.lr}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if min(self.batch_size, self.epochs, self.patience) < 1:
             raise ConfigError("batch_size, epochs and patience must be >= 1")
         return self

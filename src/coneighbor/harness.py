@@ -64,12 +64,12 @@ def feature_tables(g: TemporalGraph, cfg: RunConfig) -> FeatureTables:
 
 def _take(seq: NeighborSequenceBatch, idx) -> NeighborSequenceBatch:
     return NeighborSequenceBatch(seq.anchors[idx], seq.t[idx],
-                                 seq.peers[idx], seq.dt[idx],
-                                 seq.eidx[idx], seq.valid[idx])
+                                 seq.peers[idx], seq.entries[idx],
+                                 seq.valid[idx])
 
 
 def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
-                        tdm: TemporalDiverseMemory,
+                        tdm: TemporalDiverseMemory, hist: HistoryStore,
                         sides: list[tuple[NeighborSequenceBatch, np.ndarray]],
                         ) -> SequenceFeatures:
     """Build encoder inputs for a list of (sequence, other-anchor) sides.
@@ -78,9 +78,11 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
     own anchor and against the partner it is being scored with, one
     partner per window row.  Sides that name the same window object share
     one gather of its peer rows and one count against its own anchors, per
-    table.  Counts are scaled by the table width so inputs live in [0, 1].
-    The ablation switches zero-fill the corresponding blocks and leave
-    every other input byte-identical.
+    table, and one gather of its times and edges from hist, which must
+    not have been reset since the windows were taken.  Counts are scaled
+    by the table width so inputs live in [0, 1].  The ablation switches
+    zero-fill the corresponding blocks and leave every other input
+    byte-identical.
     """
     # distinct windows in order of first use, the partners of each, and
     # per side (window, its partners' column in the window's counts)
@@ -94,10 +96,11 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
         parts[w].append(np.asarray(other, dtype=np.int64))
         use.append((w, len(parts[w])))
 
-    def stack(name):
-        return np.concatenate([getattr(wins[w], name) for w, _ in use])
+    def stack(arrays):
+        return np.concatenate([arrays[w] for w, _ in use])
 
-    peers = stack("peers")
+    dt, eidx = zip(*(hist.deltas_and_edges(seq) for seq in wins))
+    peers = stack([seq.peers for seq in wins])
     K, l = peers.shape
     co_long = np.zeros((K, l, 2), dtype=ft.dtype)
     co_short = np.zeros((K, l, 2), dtype=ft.dtype)
@@ -119,9 +122,9 @@ def stack_pair_features(ft: FeatureTables, cfg: RunConfig,
                 co[r:r + n, :, 0] = c[..., 0]
                 co[r:r + n, :, 1] = c[..., j]
             r += n
-    eidx = stack("eidx")
+    eidx = stack(eidx)
     edge_rows = np.where(eidx < 0, ft.edge_ext.shape[0] - 1, eidx)
-    return SequenceFeatures(dt=stack("dt").astype(ft.dtype),
+    return SequenceFeatures(dt=stack(dt).astype(ft.dtype),
                             node=ft.node_ext[peers],
                             edge=ft.edge_ext[edge_rows],
                             co_long=co_long, co_short=co_short)
@@ -177,7 +180,7 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
     sqn = hist.recent_batch(neg, t, cfg.seq_len)
     sides = [(squ, v), (sqv, u), (squ, neg), (sqn, u)]
     r = np.arange(B)
-    return (stack_pair_features(ft, cfg, tdm, sides), (r, B + r),
+    return (stack_pair_features(ft, cfg, tdm, hist, sides), (r, B + r),
             (2 * B + r, 3 * B + r))
 
 
@@ -231,6 +234,7 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
     mask = scored_event_mask(g, split, phase)
     rng_neg = np.random.default_rng([cfg.seed, 0xEA7, lo])
     batches = _cut(np.arange(lo, hi), cfg.batch_size)
+    weights = predictor.scoring_weights(params)
     loss_sum, scored = 0.0, []
     for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
         m = np.flatnonzero(mask[ev - lo])
@@ -239,7 +243,7 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
         feats, pos, neg = _pair_features(g, ev[m], _take(squ, m),
                                          _take(sqv, m), tdm, hist, cfg, ft,
                                          eval_pool, rng_neg)
-        H = predictor.encode(params, feats)
+        H = predictor.encode(params, feats, weights=weights)
         pp = predictor.score(params, H[pos[0]], H[pos[1]])
         pn = predictor.score(params, H[neg[0]], H[neg[1]])
         loss_sum += bce_loss(pp, pn) * m.size
@@ -260,13 +264,15 @@ def _stream_setup(g: TemporalGraph, cfg: RunConfig):
 
     Everything here is a function of (g, cfg) alone, so training and a
     later checkpoint evaluation replay the stream against the same state.
+    The history has room for every event's two entries from the start, so
+    no replay grows it.
     """
     cfg.validate()
     split = build_split(g, cfg)
     tdm = TemporalDiverseMemory.from_seed(g.num_nodes, cfg.long_size,
                                           cfg.short_size, cfg.seed)
-    return (split, tdm, HistoryStore(g.num_nodes), feature_tables(g, cfg),
-            destination_pool(g))
+    hist = HistoryStore(g.num_nodes, capacity=1 + 2 * g.num_events)
+    return split, tdm, hist, feature_tables(g, cfg), destination_pool(g)
 
 
 def model_dims(g: TemporalGraph, cfg: RunConfig) -> ModelDims:

@@ -1,10 +1,15 @@
 """Per-node interaction histories and causal sequence extraction.
 
 Every node keeps an append-only log of (peer, t, edge_idx).  Queries return
-fixed-length sequences: the anchor itself first (time delta 0), then past
-partners most-recent-first, padded with the sentinel id.  Only interactions
-strictly before the query time are visible, so sequences never leak the
-event being predicted or anything simultaneous with it.
+fixed-length windows: the anchor itself first, then past partners
+most-recent-first, padded with the sentinel id.  Only interactions strictly
+before the query time are visible, so windows never leak the event being
+predicted or anything simultaneous with it.
+
+A window holds the log entries it walked, not their times and edges: the
+table updates read only its peers.  Feature stacking turns a window into
+time deltas and edge indices with ``HistoryStore.deltas_and_edges``, which
+reads the log, so it must run before the log is reset.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import OrderingError
 
-NO_EDGE = -1   # edge_idx placeholder for the self entry and padding
+NO_EDGE = -1   # edge_idx of the empty entry: the self entry and padding
 ENTRY = np.dtype([("prev", np.int64), ("peer", np.int64),
                   ("eidx", np.int64), ("t", np.float64)])
 
@@ -39,8 +44,7 @@ class NeighborSequenceBatch:
     anchors: np.ndarray  # (B,) int64
     t: np.ndarray        # (B,) float64
     peers: np.ndarray    # (B, l_s) int64; [:, 0] == anchors; padding == sentinel
-    dt: np.ndarray       # (B, l_s) float64; t - interaction time, 0 at padding
-    eidx: np.ndarray     # (B, l_s) int64; NO_EDGE for self entry and padding
+    entries: np.ndarray  # (B, l_s) int64 log entries; 0 at [:, 0] and padding
     valid: np.ndarray    # (B, l_s) bool; True for self entry and real history
 
     def __len__(self) -> int:
@@ -59,14 +63,16 @@ class HistoryStore:
     newest-first order.  Entry 0 is the empty entry (prev = 0, peer =
     sentinel, edge index ``NO_EDGE``, t = -inf) and stands for "no entry":
     a new node's head and a first entry's prev point at it, and following
-    prev from it stays there.  Capacity doubles as the log fills.
+    prev from it stays there.  The log starts with room for ``capacity``
+    entries, the empty entry included, and doubles when it fills; ``reset``
+    keeps it.
     """
 
-    def __init__(self, num_nodes: int):
+    def __init__(self, num_nodes: int, capacity: int = 1):
         self.num_nodes = num_nodes
         self.sentinel = num_nodes
         self._size = 1
-        self._log = _empty_log(1)
+        self._log = _empty_log(capacity)
         self._log[0] = (0, self.sentinel, NO_EDGE, -np.inf)
         self._field_views()
         self._head = np.zeros(num_nodes, dtype=np.int64)
@@ -128,11 +134,11 @@ class HistoryStore:
     def recent_batch(self, anchors, ts, length: int) -> NeighborSequenceBatch:
         """Extract causal windows for several anchors at once.
 
-        Position 0 of each window is the anchor itself with dt 0; the rest
-        are its interactions strictly before the query time, newest first.
-        Every step works on all anchors: one prev gather per window
-        position builds a (B, length) matrix of entry indices, 0 where the
-        window is padded, and each field is one gather from it.
+        Position 0 of each window is the anchor itself; the rest are its
+        interactions strictly before the query time, newest first.  Every
+        step works on all anchors: one prev gather per window position
+        builds the (B, length) matrix of entries, 0 at position 0 and where
+        the window is padded, and the peers are one gather from it.
         """
         anchors = np.asarray(anchors, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
@@ -151,15 +157,27 @@ class HistoryStore:
                 break
             walk[:, k] = cur
             cur = prev[cur]
-        # the empty entry carries the padding's peer and edge index
+        # the empty entry carries the padding's peer
         peers = self._peer[walk]
         peers[:, 0] = anchors
-        eidx = self._eidx[walk]
         valid = walk != 0
-        dt = np.zeros(walk.shape, dtype=np.float64)
-        np.subtract(ts[:, None], self._t[walk], out=dt, where=valid)
         valid[:, 0] = True
-        return NeighborSequenceBatch(anchors, ts, peers, dt, eidx, valid)
+        return NeighborSequenceBatch(anchors, ts, peers, walk, valid)
+
+    def deltas_and_edges(self, window: NeighborSequenceBatch,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(dt, eidx) of a window's entries, both (B, l_s).
+
+        dt is the query time minus the interaction time, 0 at position 0
+        and padding; eidx is the edge index, ``NO_EDGE`` there.  Reads the
+        log, so the window must come from this store since its last reset.
+        """
+        entries = window.entries
+        eidx = self._eidx[entries]
+        dt = np.zeros(entries.shape, dtype=np.float64)
+        np.subtract(window.t[:, None], self._t[entries], out=dt,
+                    where=entries != 0)
+        return dt, eidx
 
     def reset(self) -> None:
         self._size = 1

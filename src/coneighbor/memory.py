@@ -28,7 +28,9 @@ inserted ids; the oracle tests rely on this mode.
 
 The temporal-diverse variant pairs a wide table (long horizon) with a
 narrow one (short horizon) under independent hash multipliers: the narrow
-table overwrites faster and therefore tracks only recent neighbors.
+table overwrites faster and therefore tracks only recent neighbors.  A
+batch of links becomes one write list, checked once and written to both
+tables; it reads the windows' peers and valid masks, not their entries.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ AUDIT_BLOCK_BYTES = 256 * 1024
 def _check_mode(mode: str) -> None:
     if mode not in MATCHINGS:
         raise ConfigError(f"unknown matching mode {mode!r}")
+
+
+def _check_ids(rows: np.ndarray, values: np.ndarray, num_nodes: int) -> None:
+    """IndexError unless every row and value lies in [0, num_nodes).
+
+    Checked before any key is packed: a huge row would wrap into range.
+    """
+    if (min(rows.min(), values.min()) < 0
+            or max(rows.max(), values.max()) >= num_nodes):
+        raise IndexError(f"write rows and values must lie in [0, {num_nodes})")
 
 
 def _store_dtype(top: int) -> np.dtype:
@@ -148,33 +160,43 @@ class HashTableMemory:
 
         A row or value outside [0, num_nodes), the sentinel included,
         raises IndexError and writes nothing.  Where several writes hit the
-        same slot the last one wins.  That is resolved here by keeping the
-        last occurrence of each slot, not left to numpy's unspecified order
-        for duplicate fancy-assignment indices: each write's key packs its
-        flat slot above its position i in b low bits, so one unstable sort
+        same slot the last one wins (see ``_write``).
+        """
+        if values.size == 0:
+            return
+        _check_ids(rows, values, self.num_nodes)
+        self._write(rows, values)
+
+    def _write(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """``write`` without its checks: rows and values must be non-empty
+        and lie in [0, num_nodes).
+
+        The last write to a slot is resolved here by keeping the last
+        occurrence of each slot, not left to numpy's unspecified order for
+        duplicate fancy-assignment indices: each write's key packs its flat
+        slot above its position i in b low bits, so one unstable sort
         orders the keys by slot and then by i, and the last key of each run
         of equal slots names the winner.
         """
         n = values.size
-        if n == 0:
-            return
-        # values of num_nodes or more fail the _slots lookup below
-        if values.min() < 0:
-            raise IndexError(f"write values must lie in [0, {self.num_nodes})")
-        # checked before packing: a huge row would wrap lin << b into range
-        if rows.min() < 0 or rows.max() >= self.num_nodes:
-            raise IndexError(f"write rows must lie in [0, {self.num_nodes})")
         b = (n - 1).bit_length()
         if self.store.size << b > np.iinfo(np.int64).max:
             raise ConfigError(
                 f"a table of {self.store.size} slots cannot take {n} writes "
                 "at once: the packed sort keys would overflow int64")
-        lin = rows * self.width + self._slots[values]
-        keys = np.sort((lin << b) | np.arange(n))
+        keys = np.multiply(rows, self.width, dtype=np.int64)
+        keys += self._slots[values]
+        keys <<= b
+        keys |= np.arange(n)
+        keys.sort()
         slot = keys >> b
-        last = np.append(slot[1:] != slot[:-1], True)
-        self.store.reshape(-1)[slot[last]] = self._quot[
-            values[keys[last] & ((1 << b) - 1)]]
+        last = np.empty(n, dtype=bool)
+        np.not_equal(slot[1:], slot[:-1], out=last[:-1])
+        last[-1] = True
+        won = keys[last]
+        slot = won >> b
+        won &= (1 << b) - 1
+        self.store.reshape(-1)[slot] = self._quot[values[won]]
 
     def co_count(self, a: int, b: int, mode: str = MATCH_PAPER) -> int:
         _check_mode(mode)
@@ -294,7 +316,9 @@ class TemporalDiverseMemory:
         the other; (2) each endpoint learns the other's sampled past
         partners; (3) those past partners learn the new endpoint.  Within
         a rule, window order; position 0 (the anchor itself) and padding
-        are skipped.  Later writes win slot conflicts.
+        are skipped.  Later writes win slot conflicts.  A row or value
+        outside [0, num_nodes) raises IndexError before either table
+        changes.
         """
         u = np.asarray(u, dtype=np.int64)[:, None]
         v = np.asarray(v, dtype=np.int64)[:, None]
@@ -303,16 +327,26 @@ class TemporalDiverseMemory:
         uu = np.broadcast_to(u, pv.shape)
         vv = np.broadcast_to(v, pu.shape)
         one = np.ones(u.shape, dtype=bool)
-        # one column block per rule; row-major flattening keeps links in
-        # stream order and, within a link, rules and windows in order
-        rows = np.concatenate([u, v, uu, vv, pu, pv], axis=1)
-        vals = np.concatenate([v, u, pv, pu, vv, uu], axis=1)
-        keep = np.concatenate([one, one, kv & two_order, ku & two_order,
-                               ku & neighbor_update, kv & neighbor_update],
-                              axis=1)
-        rows, vals = rows[keep], vals[keep]
+        # one column block per enabled rule; row-major flattening keeps
+        # links in stream order and, within a link, rules and windows in
+        # order
+        rows, vals, keep = [u, v], [v, u], [one, one]
+        if two_order:
+            rows += [uu, vv]
+            vals += [pv, pu]
+            keep += [kv, ku]
+        if neighbor_update:
+            rows += [pu, pv]
+            vals += [vv, uu]
+            keep += [ku, kv]
+        idx = np.flatnonzero(np.concatenate(keep, axis=1))
+        if not idx.size:
+            return
+        rows = np.concatenate(rows, axis=1).ravel()[idx]
+        vals = np.concatenate(vals, axis=1).ravel()[idx]
+        _check_ids(rows, vals, self.num_nodes)
         for mem in (self.long, self.short) if update_short else (self.long,):
-            mem.write(rows, vals)
+            mem._write(rows, vals)
 
     def reset(self) -> None:
         self.long.reset()

@@ -60,7 +60,8 @@ one float64 QR of V^T, applied whole: at most k+1 columns wide, and a sum
 of squares, so nothing cancels.  Mean-pooling is linear, so it moves
 before the output map: h = (sum_p inv_p / l * A_p) @ (V @ out_w) + out_b.
 Training keeps the full layer: the masks make the pooled sum nonlinear
-in A_p.
+in A_p.  Every layer's V, R and V @ out_w depend on the parameters
+alone, so ``scoring_weights`` builds them once per evaluation phase.
 
 Everything is plain numpy.  Gradients are computed in closed form by
 walking each block's intermediates backwards; the test suite checks every
@@ -313,18 +314,22 @@ class LinkPredictor:
 
     # -- forward -------------------------------------------------------
 
-    def encode(self, params, feats: SequenceFeatures) -> np.ndarray:
+    def encode(self, params, feats: SequenceFeatures, *,
+               weights=None) -> np.ndarray:
         """Sequences -> (S, d_o) node representations, for scoring: no
         dropout, and the last layer in collapsed form (see the module
-        docstring)."""
-        weights = self._centred_weights(params)
+        docstring).  weights is ``scoring_weights(params)``, computed here
+        when not given."""
+        if weights is None:
+            weights = self.scoring_weights(params)
+        layers, R, VW = weights
         S, l = feats.dt.shape
         f = self.dims.fused
         dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
                                feats.co_short, params["time_freq"],
-                               weights[0])
+                               layers[0])
         z = None
-        for V in weights[:-1]:
+        for V in layers[:-1]:
             z_in, z = z, np.empty((S, l, f + 1), dtype)
             z[..., f] = 1.0
             for blk in _blocks(S, l * f * np.dtype(dtype).itemsize,
@@ -336,15 +341,25 @@ class LinkPredictor:
                 ub = self._scratch(("u", 0), (n, l, f), dtype)
                 np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
                 np.multiply(ub, _inv_std(ub, f), out=z[blk, :, :f])
-        return self._collapsed_last_layer(params, feats, z, weights[-1], dtype)
+        return self._collapsed_last_layer(params, feats, z, R.astype(dtype),
+                                          VW, dtype)
 
-    def _collapsed_last_layer(self, params, feats, z, V, dtype):
+    def scoring_weights(self, params):
+        """What encode derives from params alone: the centred weights of
+        every layer (layer 0 folded), the last layer's triangular factor R
+        in float64 and its V @ out_w.  Params that do not change, as in an
+        evaluation phase, need them once."""
+        layers = self._centred_weights(params)
+        V = layers[-1]
+        R = np.linalg.qr(V.T.astype(np.float64), mode="r")
+        return layers, R, V @ params["out_w"]
+
+    def _collapsed_last_layer(self, params, feats, z, R, VW, dtype):
         """(S, d_o) readout of the last layer, without dropout, from its
         (S, l, k + 1) input A = [a, 1]: z, or layer 0's when z is None,
         built per block; the module docstring derives the form."""
         S, l = feats.dt.shape
-        k1 = V.shape[0]
-        R = np.linalg.qr(V.T.astype(np.float64), mode="r").astype(dtype)
+        k1 = R.shape[1]
         wc = np.empty((S, k1), dtype)        # sum_p inv_p * A_p
         # no temporary here is wider than k + 1
         for blk in _blocks(S, l * k1 * np.dtype(dtype).itemsize, BLOCK_BYTES):
@@ -355,7 +370,7 @@ class LinkPredictor:
             # |u|^2 = |y|^2 of the f-wide layer output y
             c = _inv_std(u, self.dims.fused).reshape(-1, 1, l)
             np.matmul(c, ab, out=wc[blk, None])
-        return wc @ (V @ params["out_w"] / l) + params["out_b"]
+        return wc @ (VW / l) + params["out_b"]
 
     def _fold_layer0(self, params):
         """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""

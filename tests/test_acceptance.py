@@ -122,7 +122,7 @@ def test_03_gradient_check_against_finite_differences():
     neg = np.roll(v, 1)
     sqn = hist.recent_batch(neg, t, cfg.seq_len)
     ft = feature_tables(g, cfg.replace(float32=False))
-    feats = stack_pair_features(ft, cfg, tdm,
+    feats = stack_pair_features(ft, cfg, tdm, hist,
                                 [(squ, v), (sqv, u), (squ, neg), (sqn, u)])
     B = ev.size
     r = np.arange(B)

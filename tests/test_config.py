@@ -27,6 +27,8 @@ class TestValidate:
         # values not of the field's kind
         dict(seq_len=2.5), dict(long_size=64.0), dict(no_cne="false"),
         dict(float32=1), dict(seed=True), dict(lr="1e-4"), dict(mode=None),
+        # NaN passes a plain `lr < 0` check
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=float("-inf")),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):

@@ -76,23 +76,24 @@ class TestStackPairFeatures:
         u, v, t = g.src[ev], g.dst[ev], g.t[ev]
         squ = hist.recent_batch(u, t, cfg.seq_len)
         sqv = hist.recent_batch(v, t, cfg.seq_len)
-        return tdm, [(squ, v), (sqv, u)]
+        return tdm, hist, [(squ, v), (sqv, u)]
 
     def test_scaled_counts_in_unit_interval(self, rand_graph):
         cfg = tiny_cfg()
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         feats = stack_pair_features(feature_tables(rand_graph, cfg), cfg,
-                                    tdm, sides)
+                                    tdm, hist, sides)
         for block in (feats.co_long, feats.co_short):
             assert block.min() >= 0.0 and block.max() <= 1.0
         assert feats.co_long.any()    # replayed state produces real counts
 
     def test_no_cne_zeroes_only_structure_blocks(self, rand_graph):
         cfg = tiny_cfg()
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         ft = feature_tables(rand_graph, cfg)
-        full = stack_pair_features(ft, cfg, tdm, sides)
-        bare = stack_pair_features(ft, cfg.replace(no_cne=True), tdm, sides)
+        full = stack_pair_features(ft, cfg, tdm, hist, sides)
+        bare = stack_pair_features(ft, cfg.replace(no_cne=True), tdm, hist,
+                                   sides)
         assert not bare.co_long.any() and not bare.co_short.any()
         np.testing.assert_array_equal(full.dt, bare.dt)
         np.testing.assert_array_equal(full.node, bare.node)
@@ -100,10 +101,11 @@ class TestStackPairFeatures:
 
     def test_no_td_zeroes_only_short_block(self, rand_graph):
         cfg = tiny_cfg()
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         ft = feature_tables(rand_graph, cfg)
-        full = stack_pair_features(ft, cfg, tdm, sides)
-        notd = stack_pair_features(ft, cfg.replace(no_td=True), tdm, sides)
+        full = stack_pair_features(ft, cfg, tdm, hist, sides)
+        notd = stack_pair_features(ft, cfg.replace(no_td=True), tdm, hist,
+                                   sides)
         assert not notd.co_short.any()
         np.testing.assert_array_equal(full.co_long, notd.co_long)
 
@@ -111,15 +113,15 @@ class TestStackPairFeatures:
     def test_ablation_flags_keep_inputs_byte_identical(self, rand_graph,
                                                       matching):
         cfg = tiny_cfg(matching=matching)
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         ft = feature_tables(rand_graph, cfg)
-        full = stack_pair_features(ft, cfg, tdm, sides)
+        full = stack_pair_features(ft, cfg, tdm, hist, sides)
         zero = np.zeros_like(full.co_long)
         for no_cne, no_td, no_nup, no_tup in itertools.product([False, True],
                                                                repeat=4):
             got = stack_pair_features(
                 ft, cfg.replace(no_cne=no_cne, no_td=no_td, no_nup=no_nup,
-                                no_tup=no_tup), tdm, sides)
+                                no_tup=no_tup), tdm, hist, sides)
             want_long = zero if no_cne else full.co_long
             want_short = zero if no_cne or no_td else full.co_short
             for name, want in (("dt", full.dt), ("node", full.node),
@@ -131,31 +133,32 @@ class TestStackPairFeatures:
 
     def test_no_td_never_reads_the_short_table(self, rand_graph):
         cfg = tiny_cfg(no_td=True)
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         ft = feature_tables(rand_graph, cfg)
-        want = stack_pair_features(ft, cfg, tdm, sides)
+        want = stack_pair_features(ft, cfg, tdm, hist, sides)
         tdm.short = None
-        got = stack_pair_features(ft, cfg, tdm, sides)
+        got = stack_pair_features(ft, cfg, tdm, hist, sides)
         np.testing.assert_array_equal(got.co_long, want.co_long)
         assert not got.co_short.any()
 
     def test_padding_rows_read_zero_edge_features(self, rand_graph):
         cfg = tiny_cfg()
-        tdm, sides = self.build_sides(rand_graph, cfg)
+        tdm, hist, sides = self.build_sides(rand_graph, cfg)
         feats = stack_pair_features(feature_tables(rand_graph, cfg), cfg,
-                                    tdm, sides)
+                                    tdm, hist, sides)
         valid = np.concatenate([s.valid for s, _ in sides])
-        eidx = np.concatenate([s.eidx for s, _ in sides])
+        eidx = np.concatenate([hist.deltas_and_edges(s)[1] for s, _ in sides])
         pad_edge = feats.edge[(~valid) | (eidx < 0)]
         assert not pad_edge.any()
 
 
-def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
+def per_side_features(ft, cfg, tdm, hist, sides) -> SequenceFeatures:
     """Encoder inputs with every side's window gathered and counted on its
     own: the reference for the shared path."""
     out = {f.name: [] for f in dataclasses.fields(SequenceFeatures)}
     for seq, other in sides:
         peers = seq.peers
+        dt, eidx = hist.deltas_and_edges(seq)
         for name, off in (("long", cfg.no_cne),
                           ("short", cfg.no_cne or cfg.no_td)):
             if off:
@@ -167,11 +170,10 @@ def per_side_features(ft, cfg, tdm, sides) -> SequenceFeatures:
                                   peers, cfg.matching)
             c[~seq.valid] = mem.width if cfg.matching == MATCH_PAPER else 0
             out[f"co_{name}"].append((c / mem.width).astype(ft.dtype))
-        out["dt"].append(seq.dt.astype(ft.dtype))
+        out["dt"].append(dt.astype(ft.dtype))
         out["node"].append(ft.node_ext[peers])
-        out["edge"].append(ft.edge_ext[np.where(seq.eidx < 0,
-                                                len(ft.edge_ext) - 1,
-                                                seq.eidx)])
+        out["edge"].append(ft.edge_ext[np.where(eidx < 0,
+                                                len(ft.edge_ext) - 1, eidx)])
     return SequenceFeatures(**{k: np.concatenate(v) for k, v in out.items()})
 
 
@@ -220,10 +222,10 @@ class TestSharedWindows:
             rows.append(len(peers))
             return inner_count(self, own, other, peers, *a, **k)
 
-        def stack(ft_, cfg_, tdm_, sides):
+        def stack(ft_, cfg_, tdm_, hist_, sides):
             rows.clear()
-            got = stack_pair_features(ft_, cfg_, tdm_, sides)
-            want = per_side_features(ft_, cfg_, tdm_, sides)
+            got = stack_pair_features(ft_, cfg_, tdm_, hist_, sides)
+            want = per_side_features(ft_, cfg_, tdm_, hist_, sides)
             for f in dataclasses.fields(SequenceFeatures):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert a.dtype == b.dtype and a.shape == b.shape
@@ -314,7 +316,8 @@ class TestEvaluate:
         later = np.full(nodes.size, rand_graph.t[-1] + 1)
         got = hist.recent_batch(nodes, later, 64)
         want = ref_hist.recent_batch(nodes, later, 64)
-        np.testing.assert_array_equal(got.eidx, want.eidx)
+        np.testing.assert_array_equal(hist.deltas_and_edges(got)[1],
+                                      ref_hist.deltas_and_edges(want)[1])
 
     def test_untrained_model_scores_near_chance(self):
         g = random_stream(50, 3000, seed=2)
@@ -333,6 +336,28 @@ class TestEvaluate:
         res = run(rand_graph, cfg)
         assert res["mode"] == "inductive"
         assert 0.0 <= res["test_ap"] <= 1.0
+
+
+class TestStreamSetup:
+    def test_history_never_grows_in_a_full_replay(self, rand_graph):
+        """The history has room for the whole stream from the start: a
+        replay through train, val and test, twice over a reset, keeps the
+        one log."""
+        g, cfg = rand_graph, tiny_cfg()
+        split, tdm, hist, ft, pool = harness._stream_setup(g, cfg)
+        log = hist._log
+        dims = model_dims(g, cfg)
+        params = init_params(dims, 0, dtype=np.float32)
+        pred = LinkPredictor(dims, cfg.dropout)
+        for _ in range(2):
+            tdm.reset()
+            hist.reset()
+            replay_train(g, split, tdm, hist, cfg)
+            for phase in (VAL, TEST):
+                evaluate(g, split, tdm, hist, pred, params, cfg, phase, ft,
+                         pool)
+            assert hist._log is log
+            assert hist._size == log.shape[0] == 1 + 2 * g.num_events
 
 
 class TestSelfLoops:
@@ -370,8 +395,8 @@ class TestSelfLoops:
 def _run_consumer(name, monkeypatch):
     """Run one stream consumer with its reads and writes traced.
 
-    Reads (windows, co-neighbor counts) log "s" and writes (tables,
-    history) log "u".  Returns the trace and the number of batches.
+    Reads (windows, their times and edges, co-neighbor counts) log "s"
+    and writes (tables, history) log "u".  Returns the trace and the number of batches.
     """
     g = random_stream(30, 1000, seed=4)
     cfg = tiny_cfg(epochs=1, batch_size=50,
@@ -387,6 +412,7 @@ def _run_consumer(name, monkeypatch):
 
     calls = []
     for cls, attr, tag in ((HistoryStore, "recent_batch", "s"),
+                           (HistoryStore, "deltas_and_edges", "s"),
                            (TemporalDiverseMemory, "co_encode_batch", "s"),
                            (TemporalDiverseMemory, "apply_link_update", "u"),
                            (HistoryStore, "record_batch", "u")):

@@ -49,8 +49,10 @@ def test_no_history_is_self_plus_padding():
     seq = window(h, 1, 2.0, 3)
     np.testing.assert_array_equal(seq.peers[0], [1, 3, 3])
     np.testing.assert_array_equal(seq.valid[0], [True, False, False])
-    np.testing.assert_array_equal(seq.dt[0], [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(seq.eidx[0], [NO_EDGE, NO_EDGE, NO_EDGE])
+    np.testing.assert_array_equal(seq.entries[0], [0, 0, 0])
+    dt, eidx = h.deltas_and_edges(seq)
+    np.testing.assert_array_equal(dt[0], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(eidx[0], [NO_EDGE, NO_EDGE, NO_EDGE])
 
 
 def test_repeated_partner_window():
@@ -61,8 +63,9 @@ def test_repeated_partner_window():
     record(h, u, a, 2.0, 1)
     seq = window(h, u, 3.0, 3)
     np.testing.assert_array_equal(seq.peers[0], [u, a, a])
-    np.testing.assert_allclose(seq.dt[0], [0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(seq.eidx[0], [NO_EDGE, 1, 0])
+    dt, eidx = h.deltas_and_edges(seq)
+    np.testing.assert_allclose(dt[0], [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(eidx[0], [NO_EDGE, 1, 0])
     assert seq.valid[0].all()
 
 
@@ -80,7 +83,8 @@ def test_window_drops_oldest():
         record(h, 0, i + 1, float(i), i)
     seq = window(h, 0, 100.0, 4)
     np.testing.assert_array_equal(seq.peers[0], [0, 10, 9, 8])
-    np.testing.assert_allclose(seq.dt[0], [0.0, 91.0, 92.0, 93.0])
+    np.testing.assert_allclose(h.deltas_and_edges(seq)[0][0],
+                               [0.0, 91.0, 92.0, 93.0])
 
 
 def test_batch_matches_single(rng):
@@ -95,9 +99,12 @@ def test_batch_matches_single(rng):
     batch = h.recent_batch(anchors, times, 5)
     for i in range(20):
         single = window(h, int(anchors[i]), float(times[i]), 5)
-        for name in ("peers", "dt", "eidx", "valid"):
+        for name in ("peers", "entries", "valid"):
             np.testing.assert_array_equal(getattr(batch, name)[i],
                                           getattr(single, name)[0])
+        for got, want in zip(h.deltas_and_edges(batch),
+                             h.deltas_and_edges(single)):
+            np.testing.assert_array_equal(got[i], want[0])
 
 
 def test_record_batch_rejects_decrease_within_batch():
@@ -126,11 +133,12 @@ def oracle_window(events, anchor, query_t, length):
     return [e for e in reversed(log) if e[1] < query_t][:length - 1]
 
 
-def assert_rows_match_oracle(batch, events, sentinel):
+def assert_rows_match_oracle(h, batch, events, sentinel):
+    dts, eidxs = h.deltas_and_edges(batch)
     for i in range(len(batch)):
         anchor, t = batch.anchors[i], batch.t[i]
-        peers, dt, eidx, valid = (batch.peers[i], batch.dt[i],
-                                  batch.eidx[i], batch.valid[i])
+        peers, dt, eidx, valid = (batch.peers[i], dts[i], eidxs[i],
+                                  batch.valid[i])
         want = oracle_window(events, anchor, t, peers.size)
         n = 1 + len(want)
         assert peers[0] == anchor and valid[0]
@@ -166,7 +174,7 @@ def test_histories_shorter_than_window(length):
     batch = h.recent_batch(anchors, times, length)
     if length > 1:
         assert not batch.valid[:, -1].any()
-    assert_rows_match_oracle(batch, events, n)
+    assert_rows_match_oracle(h, batch, events, n)
 
 
 def test_many_ties_at_query_time():
@@ -181,7 +189,7 @@ def test_many_ties_at_query_time():
     np.testing.assert_array_equal(batch.peers[0], [0, 2, 1, 5, 5, 5])
     np.testing.assert_array_equal(batch.peers[3], [3, 5, 5, 5, 5, 5])
     np.testing.assert_array_equal(batch.peers[5], [0, 3, 3, 3, 3, 3])
-    assert_rows_match_oracle(batch, events, 5)
+    assert_rows_match_oracle(h, batch, events, 5)
 
 
 def test_query_before_every_entry_is_anchor_alone():
@@ -199,8 +207,9 @@ def test_reset_leaves_anchor_alone():
     seq = h.recent_batch([0, 1, 2, 3], [9.0] * 4, 5)
     np.testing.assert_array_equal(seq.peers[:, 0], [0, 1, 2, 3])
     np.testing.assert_array_equal(seq.peers[:, 1:], 4)
-    np.testing.assert_array_equal(seq.eidx, NO_EDGE)
-    np.testing.assert_array_equal(seq.dt, 0.0)
+    dt, eidx = h.deltas_and_edges(seq)
+    np.testing.assert_array_equal(eidx, NO_EDGE)
+    np.testing.assert_array_equal(dt, 0.0)
     assert seq.valid.sum() == 4
     # and the log takes new entries from the start again
     record_all(h, [(2, 3, 1.0)])
@@ -221,7 +230,8 @@ def test_logged_entries_equal_records(rng):
     want = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     assert [log_entries(h, v, 128) for v in range(n)] == want.tolist()
     window = h.recent_batch(np.arange(n), np.full(n, 1e9), 128)
-    assert (window.eidx[:, 1:][window.valid[:, 1:]] >= 0).all()
+    eidx = h.deltas_and_edges(window)[1]
+    assert (eidx[:, 1:][window.valid[:, 1:]] >= 0).all()
 
 
 # few distinct timestamps, so ties cross chunk boundaries and the query time
@@ -255,15 +265,16 @@ def test_sequence_matches_enumeration_oracle(events, cuts, anchor, query_t,
             log.append((u, t, i))
 
     seq = window(h, anchor, query_t, length)
+    dt, eidx = h.deltas_and_edges(seq)
     past = [e for e in log if e[1] < query_t]
     want = list(reversed(past))[:length - 1]
 
     assert seq.peers.shape == (1, length)
     assert seq.peers[0, 0] == anchor and seq.valid[0, 0]
-    assert seq.dt[0, 0] == 0.0
+    assert dt[0, 0] == 0.0
     got = [(int(p), float(query_t - d), int(e))
-           for p, d, e, ok in zip(seq.peers[0, 1:], seq.dt[0, 1:],
-                                  seq.eidx[0, 1:], seq.valid[0, 1:]) if ok]
+           for p, d, e, ok in zip(seq.peers[0, 1:], dt[0, 1:],
+                                  eidx[0, 1:], seq.valid[0, 1:]) if ok]
     approx = [(p, pytest.approx(t), i) for p, t, i in want]
     assert got == approx
     # padding after the valid prefix
@@ -271,4 +282,4 @@ def test_sequence_matches_enumeration_oracle(events, cuts, anchor, query_t,
     assert not seq.valid[0, n_valid:].any()
     assert (seq.peers[0, n_valid:] == 6).all()
     # strict causality: every valid non-self delta is positive
-    assert (seq.dt[0, 1:][seq.valid[0, 1:]] > 0).all()
+    assert (dt[0, 1:][seq.valid[0, 1:]] > 0).all()

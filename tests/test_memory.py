@@ -17,14 +17,14 @@ from coneighbor.memory import (ExactNeighborLog, HashTableMemory,
 
 
 def windows(anchors, peers, valid=None):
-    """A window batch, one row per anchor, with dt 0 and no edges."""
+    """A window batch, one row per anchor, whose entries are all the
+    empty entry: the table updates read only peers and valid."""
     peers = np.asarray(peers, dtype=np.int64)
     valid = (np.ones(peers.shape, dtype=bool) if valid is None
              else np.asarray(valid, dtype=bool))
     return NeighborSequenceBatch(np.asarray(anchors, dtype=np.int64),
                                  np.ones(len(peers)), peers,
-                                 np.zeros(peers.shape),
-                                 np.full(peers.shape, -1, dtype=np.int64),
+                                 np.zeros(peers.shape, dtype=np.int64),
                                  valid)
 
 
@@ -547,6 +547,45 @@ class TestLinkUpdate:
         assert (tdm.short.table == tdm.short.sentinel).all()
         assert (tdm.long.table != tdm.long.sentinel).sum() == 2
 
+    @pytest.mark.parametrize("u, v, peer", [
+        (6, 1, 2), (0, -1, 2),          # an endpoint out of range
+        (0, 1, 6), (0, 1, -1),          # a valid past partner out of range
+    ])
+    @pytest.mark.parametrize("two_order", [True, False])
+    def test_bad_id_raises_and_leaves_both_tables(self, u, v, peer,
+                                                  two_order):
+        # the good first link's writes come before the bad id in the list
+        tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
+        tdm.apply_link_update([2], [3], seq(2, [2]), seq(3, [3]))
+        before = [tdm.long.store.copy(), tdm.short.store.copy()]
+        squ = windows([4, u], [[4, 5], [u, 5]])
+        sqv = windows([5, v], [[5, 4], [v, peer]])
+        with pytest.raises(IndexError):
+            tdm.apply_link_update([4, u], [5, v], squ, sqv,
+                                  two_order=two_order)
+        np.testing.assert_array_equal(tdm.long.store, before[0])
+        np.testing.assert_array_equal(tdm.short.store, before[1])
+
+    def test_first_batch_writes_only_the_endpoint_pairs(self, monkeypatch):
+        # before any record every window is the anchor and padding, so
+        # each table takes (u, v) and (v, u) per link, in link order
+        u, v = np.array([0, 3, 3]), np.array([1, 2, 0])
+        hist = HistoryStore(6)
+        squ, sqv = (hist.recent_batch(x, np.ones(3), 4) for x in (u, v))
+        assert not squ.valid[:, 1:].any() and not sqv.valid[:, 1:].any()
+        tdm = TemporalDiverseMemory(6, 8, 4, 1, 3)
+        seen = []
+        write = HashTableMemory._write
+
+        def spy(mem, rows, values):
+            seen.append((mem, rows.tolist(), values.tolist()))
+            write(mem, rows, values)
+
+        monkeypatch.setattr(HashTableMemory, "_write", spy)
+        tdm.apply_link_update(u, v, squ, sqv)
+        pairs = ([0, 1, 3, 2, 3, 0], [1, 0, 2, 3, 0, 3])
+        assert seen == [(tdm.long, *pairs), (tdm.short, *pairs)]
+
 
 def _insert_one_by_one(tdm, u, v, seq_u, seq_v, two_order, neighbor_update,
                        update_short):
@@ -585,8 +624,8 @@ def test_batched_update_equals_event_loop(seed, B, len_u, len_v, widths,
         peers[:, 0], valid[:, 0] = anchors, True
         peers[~valid] = n
         return NeighborSequenceBatch(anchors, np.zeros(B), peers,
-                                     np.zeros((B, length)),
-                                     np.full((B, length), -1), valid)
+                                     np.zeros((B, length), dtype=np.int64),
+                                     valid)
 
     squ, sqv = windows(u, len_u), windows(v, len_v)
     flags = dict(two_order=two_order, neighbor_update=neighbor_update,
