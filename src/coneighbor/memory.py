@@ -1,7 +1,7 @@
 """Hashed neighbor sketches, slot-wise co-neighbor counting, and updates.
 
 Each node owns a fixed-width slot array standing in for its neighbor set.
-A neighbor v lands in slot (q*v) mod M; inserting over an occupied slot
+A neighbor v lands in slot (q*v) mod M; a write to an occupied slot
 simply overwrites it, which is the forgetting mechanism that keeps the
 sketch bounded.  Counting equal slot values between two rows approximates
 the common-neighbor count of the two nodes in a single vectorized pass.
@@ -24,7 +24,7 @@ Two matching modes exist.  ``paper`` counts every position where the rows
 agree, including empty==empty, so a node compared with itself always scores
 the full width M.  ``strict`` counts only agreeing non-empty slots, which
 equals the exact set intersection whenever the hash is injective on the
-inserted ids; the oracle tests rely on this mode.
+written ids; ``oracle.py`` audits ``count_windows`` in this mode.
 
 The temporal-diverse variant pairs a wide table (long horizon) with a
 narrow one (short horizon) under independent hash multipliers: the narrow
@@ -96,9 +96,9 @@ class HashTableMemory:
     """N slot-rows of width M plus one permanently empty row for padding.
 
     Row index ``sentinel`` (== num_nodes) backs padded sequence positions:
-    gathers through it are valid and see an all-empty row, and ``insert``
-    and ``write`` raise IndexError for it.  ``store`` holds each slot's
-    quotient id // M, or ``empty``; ``table`` decodes it to ids.
+    gathers through it are valid and see an all-empty row, and ``write``
+    raises IndexError for it.  ``store`` holds each slot's quotient
+    id // M, or ``empty``; ``table`` decodes it to ids.
     """
 
     def __init__(self, num_nodes: int, width: int, multiplier: int):
@@ -147,14 +147,6 @@ class HashTableMemory:
         """(q * id) mod M, elementwise on arrays."""
         return (np.asarray(node_id, dtype=np.int64) * self.multiplier) % self.width
 
-    def insert(self, owner: int, neighbor: int) -> None:
-        """Store neighbor in owner's row; either outside [0, num_nodes)
-        raises IndexError."""
-        if not (0 <= owner < self.num_nodes and 0 <= neighbor < self.num_nodes):
-            raise IndexError(f"insert({owner}, {neighbor}) outside "
-                             f"[0, {self.num_nodes})")
-        self.store[owner, self.slot_of(neighbor)] = self._quot[neighbor]
-
     def write(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write values[i] into row rows[i] in order of i.
 
@@ -198,13 +190,6 @@ class HashTableMemory:
         won &= (1 << b) - 1
         self.store.reshape(-1)[slot] = self._quot[values[won]]
 
-    def co_count(self, a: int, b: int, mode: str = MATCH_PAPER) -> int:
-        _check_mode(mode)
-        eq = self.store[a] == self.store[b]
-        if mode == MATCH_STRICT:
-            eq &= self.store[a] != self.empty
-        return int(eq.sum())
-
     def count_windows(self, anchors: np.ndarray, peers: np.ndarray,
                       mode: str = MATCH_PAPER) -> np.ndarray:
         """Counts of each window position's peer against the row's anchors.
@@ -239,8 +224,8 @@ class HashTableMemory:
 class TemporalDiverseMemory:
     """Long- and short-horizon neighbor sketches updated in lockstep."""
 
-    def __init__(self, num_nodes: int, long_width: int = 64, short_width: int = 16,
-                 long_multiplier: int = 1, short_multiplier: int = 3):
+    def __init__(self, num_nodes: int, long_width: int, short_width: int,
+                 long_multiplier: int, short_multiplier: int):
         if short_width >= long_width:
             raise ConfigError("short table must be narrower than the long table")
         if long_multiplier == short_multiplier:
@@ -359,7 +344,7 @@ class ExactNeighborLog:
     Replays the identical update schema with real Python sets, so the
     intersection sizes are exact.  Width-limited sketches agree with this
     oracle in strict mode whenever their hash is injective on the ids that
-    were inserted.
+    were written.
     """
 
     def __init__(self, num_nodes: int):
@@ -390,17 +375,6 @@ class ExactNeighborLog:
 
     def stored(self, node: int) -> set[int]:
         return self._sets[node]
-
-    def common(self, a: int, b: int) -> int:
-        return len(self._sets[a] & self._sets[b])
-
-
-def slot_injective(mem: HashTableMemory, ids) -> bool:
-    """True if slot_of maps the given ids to pairwise distinct slots."""
-    ids = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64)
-    if ids.size == 0:
-        return True
-    return np.unique(mem.slot_of(ids)).size == ids.size
 
 
 def check_slot_consistency(mem: HashTableMemory) -> None:

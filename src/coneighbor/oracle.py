@@ -3,9 +3,10 @@
 Each check replays one random stream twice in lockstep, once into the
 width-limited sketches and once into an unbounded-set log, using the
 identical update schema and the same pre-batch windows.  At checkpoints
-it compares strict-mode slot counts with exact intersection sizes for
-every node pair whose inserted ids map injectively to slots; under
-injectivity no overwrite ever fired, so the sketch must agree exactly.
+it compares strict-mode counts from ``HashTableMemory.count_windows``, the
+counter the model reads, with exact intersection sizes for every node
+pair whose written ids map injectively to slots; under injectivity no
+overwrite ever fired, so the sketch must agree exactly.
 Non-injective pairs are where the sketch is allowed to degrade; they are
 counted and reported, not asserted.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MATCH_STRICT, RunConfig
 from .errors import ConfigError
 from .harness import stream_batches
 from .history import HistoryStore
@@ -44,12 +45,13 @@ def _audit_pairs(tdm: TemporalDiverseMemory, log: ExactNeighborLog,
                  report: StreamReport) -> None:
     """Compare strict counts with exact intersections over all node pairs.
 
-    A pair's inserted ids A | B map injectively to slots iff each set does
+    A pair's written ids A | B map injectively to slots iff each set does
     on its own and the two sets never hold different ids in one slot.
     When both are injective every common id fills the same slot in both,
     so that holds iff the slots occupied by both number |A & B|.
     """
     n = tdm.num_nodes
+    ids = np.arange(n)
     member = np.zeros((n, n), dtype=np.int64)     # member[a, j]: j in A
     for a in range(n):
         member[a, list(log.stored(a))] = 1
@@ -58,15 +60,14 @@ def _audit_pairs(tdm: TemporalDiverseMemory, log: ExactNeighborLog,
     for name, mem in (("long", tdm.long), ("short", tdm.short)):
         # per-node slot occupancy: occ[a, s] ids of A in slot s
         onehot = np.zeros((n, mem.width), dtype=np.int64)
-        onehot[np.arange(n), mem.slot_of(np.arange(n))] = 1
+        onehot[ids, mem.slot_of(ids)] = 1
         occ = member @ onehot
         alone = (occ <= 1).all(axis=1)
         injective = (alone[:, None] & alone[None, :]
                      & (occ @ occ.T == common))[a_idx, b_idx]
-        # strict counts for all pairs at once: (n,1,M) vs (1,n,M)
-        t = mem.table[:n]
-        eq = (t[:, None, :] == t[None, :, :]) & (t[:, None, :] != mem.sentinel)
-        counts = eq.sum(axis=2)
+        # counts[a, b]: node b's row counted against anchor a
+        counts = mem.count_windows(ids[:, None], np.broadcast_to(ids, (n, n)),
+                                   MATCH_STRICT)[..., 0]
         report.pairs_checked += a_idx.size
         report.pairs_injective += int(injective.sum())
         a, b = a_idx[injective], b_idx[injective]
@@ -81,6 +82,8 @@ def check_stream(num_nodes: int, num_events: int, long_width: int,
                  two_order: bool = True, neighbor_update: bool = True,
                  checkpoints: int = 2) -> StreamReport:
     """Replay one stream and audit all node pairs at a few checkpoints."""
+    cfg = RunConfig(seq_len=seq_len, no_tup=not two_order,
+                    no_nup=not neighbor_update).validate()
     g = random_stream(num_nodes, num_events, seed=seed)
     hist = HistoryStore(g.num_nodes)
     tdm = TemporalDiverseMemory.from_seed(g.num_nodes, long_width,
@@ -88,8 +91,6 @@ def check_stream(num_nodes: int, num_events: int, long_width: int,
     log = ExactNeighborLog(g.num_nodes)
     report = StreamReport(seed, g.num_nodes, g.num_events,
                           long_width, short_width)
-    cfg = RunConfig(seq_len=seq_len, no_tup=not two_order,
-                    no_nup=not neighbor_update)
     E = g.num_events
     stops = np.unique(np.linspace(0, E - 1, checkpoints + 1)[1:].astype(int))
     # replay in batches as the harness does, cutting one after each stop;

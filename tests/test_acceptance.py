@@ -66,16 +66,14 @@ def test_02_worked_structure_encoding_example():
     tdm = TemporalDiverseMemory(20, long_width=8, short_width=4,
                                 long_multiplier=1, short_multiplier=3)
     u, v, a = 0, 1, 2
-    for node in (u, v, a):
-        tdm.long.insert(node, 8)
+    # one write of the ordered (row, value) list; the last write to a
+    # slot wins
+    writes = [(node, 8) for node in (u, v, a)]
     for s in range(1, 5):
-        tdm.long.insert(u, s)
-        tdm.long.insert(v, s)
-        tdm.long.insert(a, s + 8)
+        writes += [(u, s), (v, s), (a, s + 8)]
     for s in range(5, 8):
-        tdm.long.insert(u, s)
-        tdm.long.insert(a, s)
-        tdm.long.insert(v, s + 8)
+        writes += [(u, s), (a, s), (v, s + 8)]
+    tdm.long.write(*np.array(writes).T)
 
     def long_counts(own, other, peers):
         """One 1-row window counted against its anchor and the other."""
@@ -83,8 +81,8 @@ def test_02_worked_structure_encoding_example():
                                      np.ones((1, len(peers)), dtype=bool))
         return lng[0]
 
-    pair_counts = (tdm.long.co_count(u, a), tdm.long.co_count(u, v),
-                   tdm.long.co_count(v, a))
+    pair_counts = tuple(tdm.long.count_windows(
+        np.array([[u], [u], [v]]), np.array([[a], [v], [a]]))[:, 0, 0].tolist())
     fu, fv = long_counts(u, v, [u, a, a]), long_counts(v, u, [v, a, u])
     want_u = np.array([[8, 5], [4, 1], [4, 1]])
     want_v = np.array([[8, 5], [1, 4], [5, 8]])

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from coneighbor import oracle
+from coneighbor.config import MATCH_PAPER
+from coneighbor.errors import ConfigError
 from coneighbor.history import HistoryStore
-from coneighbor.memory import ExactNeighborLog, TemporalDiverseMemory
+from coneighbor.memory import (ExactNeighborLog, HashTableMemory,
+                               TemporalDiverseMemory)
 from coneighbor.oracle import (StreamReport, _audit_pairs, check_stream,
                                run_suite, summarize)
 
@@ -29,6 +32,12 @@ class TestCheckStream:
                               short_width=32, seq_len=4, seed=7,
                               two_order=False, neighbor_update=False)
         assert report.ok and report.pairs_injective > 0
+
+    def test_invalid_sequence_length_rejected(self):
+        with pytest.raises(ConfigError, match="seq_len"):
+            check_stream(10, 50, 16, 4, seq_len=0, seed=0)
+        with pytest.raises(ConfigError, match="seq_len"):
+            run_suite(streams=1, seq_len=0)
 
 
 class TestAuditTiming:
@@ -69,7 +78,8 @@ class TestAuditTiming:
 
 
 class TestAuditDetectsCorruption:
-    def test_desynchronized_state_is_flagged(self):
+    def replay(self):
+        """Tables, exact log and history after three links in lockstep."""
         tdm = TemporalDiverseMemory(6, 64, 16, 1, 3)
         log = ExactNeighborLog(6)
         hist = HistoryStore(6)
@@ -79,6 +89,10 @@ class TestAuditDetectsCorruption:
             tdm.apply_link_update([u], [v], squ, sqv)
             log.apply_link_update([u], [v], squ, sqv)
             hist.record_batch([u], [v], [float(i)], [i])
+        return tdm, log, hist
+
+    def test_desynchronized_state_is_flagged(self):
+        tdm, log, hist = self.replay()
         # one extra write applied to the log only; (2,3) already share
         # neighbors, so several pair intersections shift
         log.apply_link_update([2], [3], hist.recent_batch([2], [9.0], 3),
@@ -88,6 +102,18 @@ class TestAuditDetectsCorruption:
         assert not report.ok
         tables = {m[0] for m in report.mismatches}
         assert "long" in tables and "short" in tables
+
+    def test_a_miscounting_counter_is_flagged(self, monkeypatch):
+        # strict mode that also counts empty == empty, as paper mode does
+        count = HashTableMemory.count_windows
+
+        def miscount(mem, anchors, peers, mode=MATCH_PAPER):
+            return count(mem, anchors, peers, MATCH_PAPER)
+        monkeypatch.setattr(HashTableMemory, "count_windows", miscount)
+        tdm, log, _ = self.replay()
+        report = StreamReport(0, 6, 3, 64, 16)
+        _audit_pairs(tdm, log, report)
+        assert {m[0] for m in report.mismatches} == {"long", "short"}
 
 
 class TestSuite:
