@@ -204,6 +204,7 @@ class HashTableMemory:
         row broadcasts along the outer axis and each comparison is one
         long contiguous loop per position and anchor.
         """
+        _check_mode(mode)
         K, l = peers.shape
         c = np.empty((l, anchors.shape[1], K), self._count_dtype)
         step = max(1, COUNT_BLOCK_BYTES // max(1, l * self.store[0].nbytes))
@@ -277,7 +278,6 @@ class TemporalDiverseMemory:
         (uint16 up to a width of 65535); with short False the short table
         is not read and short_counts is None.
         """
-        _check_mode(mode)
         anchors = np.column_stack([anchor_own, anchor_other]).astype(np.int64)
         pad = ~np.asarray(valid)[..., None]
         out = []

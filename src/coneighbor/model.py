@@ -48,7 +48,19 @@ once per batch removes it, and the centred weights' rows sum to zero.
 Layer 0's A^T G holds its weight and bias gradients and D^T G, which the
 centred time rows of the folded weight contract to the time_freq
 gradient.  The block's (rows, 5d) temporaries live in scratch that the
-predictor sizes at first use and reuses.
+predictor sizes at first use and reuses, one set per thread.
+
+A step runs its blocks as W contiguous shards: the calling thread runs
+shard 0 and a shared thread pool the others, W = min(blocks, CPUs //
+BLAS threads), so W = 1 when BLAS is unpinned.  Every sum (each layer's
+A^T G, the merge and out gradients) takes its blocks' terms in block
+order: shard 0 adds its own as it goes, the other shards keep theirs,
+and the caller adds them after shard 0's, so each sum has the one-thread
+operands in the one-thread order.  Shard s draws its masks from a copy of
+the generator advanced to its first block's 64-bit word (every block
+before it ends on a whole word), and the generator ends past every draw.
+Loss, gradients, probabilities and generator state are therefore the
+same bytes at any W.
 
 Scoring (encode) runs inner layers in blocks of whole sequences sized by
 BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
@@ -70,8 +82,11 @@ parameter tensor against central finite differences.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
+import threading
 from dataclasses import astuple, dataclass
 from zipfile import BadZipFile
 
@@ -95,6 +110,8 @@ PAIR_BLOCK_BYTES = 512 * 1024
 # raw 64-bit draws per generator call: 64 KiB, under glibc's default mmap
 # threshold, so drawing a block's masks maps no fresh pages
 DRAW_WORDS = 8192
+# the variables that set each BLAS call's thread count, first match wins
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -281,6 +298,79 @@ def _dropout_mask(rng: np.random.Generator, t: int, out: np.ndarray) -> None:
         np.greater_equal(raw[:c], t, out=out[lo:lo + c])
 
 
+def _default_workers() -> int:
+    """Threads for a training step's pair blocks: the CPUs this process may
+    run on over the threads each BLAS call takes, the first of BLAS_ENV
+    that is set.  Unset or unreadable, BLAS takes every CPU: one worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = next((os.environ[v] for v in BLAS_ENV if os.environ.get(v)), "")
+    try:
+        blas = int(blas)
+    except ValueError:
+        blas = cpus
+    return max(1, cpus // max(1, blas))
+
+
+# worker count of a training step; the tests set it directly
+_WORKERS = _default_workers()
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The shared executor, made at first use.  It starts a thread only
+    when no started one is idle, so a step of W shards keeps W - 1."""
+    global _POOL
+    # imported here: with its logging import it adds 0.6 MB to every
+    # process, and only one that trains on several workers needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(os.cpu_count(), "coneighbor-shard")
+        return _POOL
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_shards(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], fn(0) on this thread and the rest on the
+    pool.  Returns, or raises the first error in shard order, only once
+    every call has finished."""
+    futures = [_pool().submit(fn, s) for s in range(1, n)]
+    try:
+        first = fn(0)
+    finally:
+        for fu in futures:
+            fu.exception()          # waits for the call, raises nothing
+    return [first] + [fu.result() for fu in futures]
+
+
+def _add_block(grads, gv, head, atg) -> None:
+    """Add one pair block's terms from ``_pair_block`` to the sums."""
+    for k, term in head.items():
+        grads[k] += term
+    for g, term in zip(gv, atg):
+        g += term
+
+
+class _PerThread(threading.local):
+    """A predictor's scratch buffers, one dict per thread."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -310,7 +400,7 @@ class LinkPredictor:
         # draw values drop, and the inverted scale uses that quantised rate
         self._drop_t = min(round(dropout * 65536), 65535)
         self._keep_scale = 1.0 / (1.0 - self._drop_t / 65536)
-        self._buffers: dict = {}
+        self._local = _PerThread()
 
     # -- forward -------------------------------------------------------
 
@@ -434,10 +524,46 @@ class LinkPredictor:
         is_pos = np.arange(P) < n_pos
         count = np.where(is_pos, n_pos, P - n_pos).astype(dtype)
         probs = np.empty(P, dtype)
-        for blk in blocks:
-            probs[blk] = self._pair_block(params, feats, weights, a[blk],
-                                          b[blk], is_pos[blk], count[blk],
-                                          grads, gv, rng if drop else None)
+        W = min(len(blocks), _WORKERS)
+        if drop and not isinstance(rng.bit_generator, (np.random.PCG64,
+                                                       np.random.PCG64DXSM)):
+            W = 1       # only these advance by one 64-bit word per draw
+        cut = [len(blocks) * s // W for s in range(W + 1)]
+        shards = [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        # shard 0 draws from rng, shard s from a copy advanced to its first
+        # block's word: every block before it ends on a whole word
+        gens = [rng if drop else None] + [
+            np.random.Generator(copy.deepcopy(rng.bit_generator).advance(
+                sh[0].start * 2 * L * l * f // 4)) if drop else None
+            for sh in shards[1:]]
+
+        def shard(s):
+            """Shard 0 adds each block into grads and gv; the others keep
+            theirs, to be added after it in block order."""
+            kept = []
+            for blk in shards[s]:
+                atg = ([self._scratch(("atg", k), g.shape, dtype)
+                        for k, g in enumerate(gv)] if s == 0 else
+                       [np.empty_like(g) for g in gv])
+                probs[blk], head = self._pair_block(
+                    params, feats, weights, a[blk], b[blk], is_pos[blk],
+                    count[blk], atg, gens[s])
+                if s == 0:
+                    _add_block(grads, gv, head, atg)
+                else:
+                    kept.append((head, atg))
+            return kept
+
+        for kept in _run_shards(shard, W)[1:]:
+            for head, atg in kept:
+                _add_block(grads, gv, head, atg)
+        if drop and W > 1:
+            # rng ends past every draw, where the last shard's copy ended;
+            # its buffered 32-bit half-word, which raw draws never touch,
+            # is kept
+            state = rng.bit_generator.state
+            state["state"] = gens[-1].bit_generator.state["state"]
+            rng.bit_generator.state = state
 
         for g in gv:
             g -= g.mean(axis=-1, keepdims=True)
@@ -473,23 +599,26 @@ class LinkPredictor:
         return bce_loss(p_pos, p_neg), grads, (p_pos, p_neg)
 
     def _scratch(self, name, shape, dtype) -> np.ndarray:
-        """An uninitialised array kept by the predictor and reused, grown
-        when a call needs more; valid until the next request for name."""
+        """An uninitialised array kept by the predictor for the calling
+        thread and reused, grown when a call needs more; valid until the
+        thread's next request for name."""
         n = math.prod(shape)
-        buf = self._buffers.get(name)
+        buffers = self._local.buffers
+        buf = buffers.get(name)
         if buf is None or buf.dtype != dtype or buf.size < n:
-            buf = self._buffers[name] = np.empty(n, dtype)
+            buf = buffers[name] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
 
     def _pair_block(self, params, feats, weights, a, b, is_pos, count,
-                    grads, gv, rng):
-        """Forward, score and backward of m pairs: adds to grads and to
-        each layer's A^T G in gv, returns the probabilities.  count holds
+                    atg, rng):
+        """Forward, score and backward of m pairs: returns the
+        probabilities and the block's terms of the merge and out
+        gradients, and writes each layer's A^T G into atg.  count holds
         each pair's class size; rng is None when nothing is dropped."""
         m, l = a.shape[0], feats.dt.shape[1]
         n, f, d_T = 2 * m, self.dims.fused, self.dims.time_dim
         L, last = self.dims.layers, self.dims.layers - 1
-        dtype = gv[0].dtype
+        dtype = atg[0].dtype
         k = weights[0].shape[0] - 1
         q = (m, 2, l, f)                # a pair's two sequences on one axis
         idx = np.stack([a, b], axis=1).ravel()    # [a0, b0, a1, b1, ...]
@@ -532,11 +661,10 @@ class LinkPredictor:
         p = _sigmoid(cat @ w_m + params["merge_b"][0])
         interior = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
         dlogit = np.where(interior, (p - is_pos) / count, 0.0)
-        grads["merge_w"][:, 0] += cat.T @ dlogit
-        grads["merge_b"][0] += dlogit.sum()
         dH = (dlogit[:, None] * w_m).reshape(n, -1)
-        grads["out_w"] += pool.T @ dH
-        grads["out_b"] += dH.sum(axis=0)
+        head = {"merge_w": (cat.T @ dlogit)[:, None],
+                "merge_b": dlogit.sum(keepdims=True),
+                "out_w": pool.T @ dH, "out_b": dH.sum(axis=0)}
 
         # backward through every layer while the block is in cache; a
         # layer's u is dead once e * u is taken, so its buffer takes e * u
@@ -556,13 +684,11 @@ class LinkPredictor:
             G -= np.multiply(u, e, out=u)
             A = a0 if layer == 0 else ins[layer]
             G2 = G.reshape(-1, f)
-            gv[layer] += np.matmul(A.reshape(-1, A.shape[-1]).T, G2,
-                                   out=self._scratch("atg", gv[layer].shape,
-                                                     dtype))
+            np.matmul(A.reshape(-1, A.shape[-1]).T, G2, out=atg[layer])
             if layer:
                 dz = np.matmul(G2, weights[layer][:f].T,
                                out=u.reshape(-1, f)).reshape(n, l, f)
-        return p
+        return p, head
 
     def _layer0_input(self, params, feats, idx, out):
         """Write layer 0's input [raw inputs, 1] of the sequences idx into

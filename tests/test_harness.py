@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
-from coneighbor import harness
+from coneighbor import harness, model
 from coneighbor.config import MATCH_PAPER, RunConfig
 from coneighbor.data import (TEST, VAL, from_arrays, scored_event_mask,
                              train_event_indices)
@@ -472,6 +473,23 @@ class TestRunDriver:
         for key in ("epoch", "train_loss", "val_ap", "val_auc", "best_epoch",
                     "test_ap", "test_auc"):
             assert a[key] == b[key], key
+
+    def test_metrics_do_not_depend_on_the_worker_count(self, rand_graph,
+                                                       monkeypatch, tmp_path):
+        # 400 pairs a step, 218 to a block: two shards at two workers
+        cfg = tiny_cfg(epochs=2, seed=4, layers=2)
+        shards = []
+        real = model._run_shards
+        monkeypatch.setattr(model, "_run_shards",
+                            lambda fn, n: shards.append(n) or real(fn, n))
+        metrics = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model, "_WORKERS", workers)
+            write_json(tmp_path / "metrics.json", run(rand_graph, cfg))
+            metrics.append(json.loads((tmp_path / "metrics.json").read_text()))
+            del metrics[-1]["wall_time"]
+        assert max(shards) == 2
+        assert metrics[0] == metrics[1]
 
     def test_seed_changes_results(self, rand_graph):
         a = run(rand_graph, tiny_cfg(epochs=1, seed=0))

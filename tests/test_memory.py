@@ -218,6 +218,12 @@ class TestCoCount:
                 m.count_windows(anchors, peers, mode),
                 ref.counts(anchors, peers, valid, mode))
 
+    def test_unknown_mode_rejected(self):
+        # a misspelt mode must not count as paper matching
+        m = HashTableMemory(10, 8, 3)
+        with pytest.raises(ConfigError, match="strictt"):
+            m.count_windows(np.array([[1]]), np.array([[2]]), "strictt")
+
 
 class Int64Tables:
     """Reference sketch: full int64 ids, one insert per write, == counts."""

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -485,7 +488,21 @@ class TestBlockedEncoder:
         check_against_reference(pred, perturbed_params(dims, rng), feats,
                                 pos, neg)
 
-    def test_training_never_builds_an_s_l_5d_array(self, rng):
+    def test_training_never_builds_an_s_l_5d_array(self, rng, monkeypatch):
+        peak, one = self.traced_step(rng, monkeypatch, workers=1)
+        # scratch for one block of about PAIR_BLOCK_BYTES per (rows, 5d)
+        # array, kept by the predictor
+        assert peak < one / 2
+
+    def test_each_worker_keeps_one_blocks_scratch(self, rng, monkeypatch):
+        peak, one = self.traced_step(rng, monkeypatch, workers=2)
+        assert peak < 2 * one / 2
+
+    @staticmethod
+    def traced_step(rng, monkeypatch, workers):
+        """Traced peak of one training step at the given worker count, and
+        the size of one (S, l, 5d) array."""
+        monkeypatch.setattr(model, "_WORKERS", workers)
         dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=50,
                          out_dim=50, layers=1)
         S, l = 200, 32
@@ -502,9 +519,121 @@ class TestBlockedEncoder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # scratch for one block of about PAIR_BLOCK_BYTES per (rows, 5d)
-        # array, kept by the predictor
-        assert peak < one / 2
+        return peak, one
+
+
+class TestWorkers:
+    """Pair blocks split into contiguous shards, one per worker thread,
+    give the bytes of one thread: every sum adds its terms in block order
+    and every shard draws from its own offset of the generator."""
+
+    @staticmethod
+    def step(monkeypatch, workers, layers, dropout, hidden, dtype,
+             pred=None):
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=hidden,
+                         out_dim=3, layers=layers)
+        l, S = 5, 11
+        # 3 pairs per block, 22 pairs: 8 blocks, the last one ragged; at
+        # hidden 1 and an odd L a pair's draws end mid-word, and blocks
+        # hold 4 pairs
+        monkeypatch.setattr(model, "PAIR_BLOCK_BYTES",
+                            3 * 2 * l * dims.fused * np.dtype(dtype).itemsize)
+        r = np.random.default_rng(layers * 10 + hidden)
+        params = {k: v.astype(dtype)
+                  for k, v in perturbed_params(dims, r).items()}
+        feats = make_feats(r, S=S, l=l, d_N=2, d_E=1)
+        feats = SequenceFeatures(*(x.astype(dtype) for x in
+                                   dataclasses.astuple(feats)))
+        pred = pred or LinkPredictor(dims, dropout=dropout)
+        gen = np.random.default_rng(21)
+        gen.integers(0, 10, dtype=np.uint32)    # buffers a 32-bit half-word
+        a = np.arange(S)
+        loss, grads, probs = pred.loss_and_grads(
+            params, feats, (a, np.roll(a, 1)), (np.roll(a, 2), a),
+            training=True, rng=gen)
+        return loss, grads, probs, gen.bit_generator.state
+
+    def assert_identical(self, got, want):
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for k in want[1]:
+            assert got[1][k].tobytes() == want[1][k].tobytes(), k
+        for g, w in zip(got[2], want[2]):
+            assert g.tobytes() == w.tobytes()
+        np.testing.assert_equal(got[3], want[3])    # the generator state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("hidden", [1, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_the_worker_count(
+            self, monkeypatch, layers, hidden, dropout, dtype):
+        one = self.step(monkeypatch, 1, layers, dropout, hidden, dtype)
+        for workers in (2, 3):
+            self.assert_identical(
+                self.step(monkeypatch, workers, layers, dropout, hidden,
+                          dtype), one)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.Philox,
+                                               np.random.PCG64DXSM])
+    def test_any_bit_generator_gives_the_one_thread_bytes(
+            self, monkeypatch, bit_generator):
+        # only the PCG64 family advances one 64-bit word per draw; the
+        # others run on one worker
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: np.random.Generator(
+                                bit_generator(seed)))
+        one = self.step(monkeypatch, 1, 2, 0.3, 4, np.float64)
+        self.assert_identical(
+            self.step(monkeypatch, 3, 2, 0.3, 4, np.float64), one)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_shard_raises_after_every_shard_finished(
+            self, monkeypatch, failing):
+        real = model._run_shards
+        finished = []
+
+        def run_shards(fn, n):
+            def shard(s):
+                if s == failing:
+                    raise RuntimeError(f"shard {s} failed")
+                time.sleep(0.05)
+                out = fn(s)
+                finished.append(s)
+                return out
+            return real(shard, n)
+
+        monkeypatch.setattr(model, "_run_shards", run_shards)
+        pred = LinkPredictor(ModelDims(node_dim=2, edge_dim=1, time_dim=6,
+                                       hidden=4, out_dim=3, layers=2),
+                             dropout=0.3)
+        with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
+            self.step(monkeypatch, 3, 2, 0.3, 4, np.float64, pred)
+        # the error surfaced only once the other two shards were done
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+        monkeypatch.setattr(model, "_run_shards", real)
+        # the predictor then trains as it would have: the one-thread bytes
+        self.assert_identical(
+            self.step(monkeypatch, 3, 2, 0.3, 4, np.float64, pred),
+            self.step(monkeypatch, 1, 2, 0.3, 4, np.float64))
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child, so a
+        # child that used the pool would wait on them forever
+        want = self.step(monkeypatch, 2, 2, 0.3, 4, np.float64)
+        proc = multiprocessing.get_context("fork").Process(
+            target=lambda: self.assert_identical(
+                self.step(monkeypatch, 2, 2, 0.3, 4, np.float64), want))
+        proc.start()
+        proc.join(30)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestTapeFreeEncode:
