@@ -51,16 +51,16 @@ gradient.  The block's (rows, 5d) temporaries live in scratch that the
 predictor sizes at first use and reuses, one set per thread.
 
 A step runs its blocks as W contiguous shards: the calling thread runs
-shard 0 and a shared thread pool the others, W = min(blocks, CPUs //
-BLAS threads), so W = 1 when BLAS is unpinned.  Every sum (each layer's
-A^T G, the merge and out gradients) takes its blocks' terms in block
-order: shard 0 adds its own as it goes, the other shards keep theirs,
-and the caller adds them after shard 0's, so each sum has the one-thread
-operands in the one-thread order.  Shard s draws its masks from a copy of
-the generator advanced to its first block's 64-bit word (every block
-before it ends on a whole word), and the generator ends past every draw.
-Loss, gradients, probabilities and generator state are therefore the
-same bytes at any W.
+shard 0 and a shared thread pool the others, W = min(blocks,
+MAX_WORKERS, CPUs // BLAS threads), so W = 1 when BLAS is unpinned.
+Every sum (each layer's A^T G, the merge and out gradients) takes its
+blocks' terms in block order: shard 0 adds its own as it goes, the other
+shards keep theirs, and the caller adds them after shard 0's, so each
+sum has the one-thread operands in the one-thread order.  Shard s draws
+its masks from a copy of the generator advanced to its first block's
+64-bit word (every block before it ends on a whole word), and the
+generator ends past every draw.  Loss, gradients, probabilities and
+generator state are therefore the same bytes at any W.
 
 Scoring (encode) runs inner layers in blocks of whole sequences sized by
 BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
@@ -298,10 +298,17 @@ def _dropout_mask(rng: np.random.Generator, t: int, out: np.ndarray) -> None:
         np.greater_equal(raw[:c], t, out=out[lo:lo + c])
 
 
+# most workers a training step uses: BENCH_10.json measured speed and
+# peak memory at 2 (2 CPUs); more threads contend for the GIL, and their
+# speed and memory are unmeasured
+MAX_WORKERS = 2
+
+
 def _default_workers() -> int:
     """Threads for a training step's pair blocks: the CPUs this process may
     run on over the threads each BLAS call takes, the first of BLAS_ENV
-    that is set.  Unset or unreadable, BLAS takes every CPU: one worker."""
+    that is set, at most MAX_WORKERS.  Unset or unreadable, BLAS takes
+    every CPU: one worker."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # no affinity call on this platform
@@ -311,7 +318,7 @@ def _default_workers() -> int:
         blas = int(blas)
     except ValueError:
         blas = cpus
-    return max(1, cpus // max(1, blas))
+    return max(1, min(MAX_WORKERS, cpus // max(1, blas)))
 
 
 # worker count of a training step; the tests set it directly
@@ -524,7 +531,7 @@ class LinkPredictor:
         is_pos = np.arange(P) < n_pos
         count = np.where(is_pos, n_pos, P - n_pos).astype(dtype)
         probs = np.empty(P, dtype)
-        W = min(len(blocks), _WORKERS)
+        W = max(1, min(len(blocks), _WORKERS))     # no pairs: one empty shard
         if drop and not isinstance(rng.bit_generator, (np.random.PCG64,
                                                        np.random.PCG64DXSM)):
             W = 1       # only these advance by one 64-bit word per draw

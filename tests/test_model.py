@@ -619,6 +619,44 @@ class TestWorkers:
             self.step(monkeypatch, 3, 2, 0.3, 4, np.float64, pred),
             self.step(monkeypatch, 1, 2, 0.3, 4, np.float64))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_pairs_leave_the_gradients_and_generator_alone(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=4,
+                         out_dim=3, layers=2)
+        r = np.random.default_rng(4)
+        params = perturbed_params(dims, r)
+        feats = make_feats(r, S=5, l=4, d_N=2, d_E=1)
+        gen = np.random.default_rng(21)
+        before = gen.bit_generator.state
+        none = np.zeros(0, np.int64)
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+            loss, grads, (p_pos, p_neg) = LinkPredictor(
+                dims, dropout=0.3).loss_and_grads(
+                    params, feats, (none, none), (none, none),
+                    training=True, rng=gen)
+        assert np.isnan(loss)           # the mean of no pairs
+        assert not any(g.any() for g in grads.values())
+        assert p_pos.size == p_neg.size == 0
+        np.testing.assert_equal(gen.bit_generator.state, before)
+
+    @pytest.mark.parametrize("cpus, blas, workers", [
+        (64, "1", model.MAX_WORKERS),  # more were never measured
+        (2, "1", 2),
+        (2, None, 1),                  # BLAS takes every CPU
+        (4, "2", 2),
+        (4, "4", 1),
+        (4, "many", 1),
+    ])
+    def test_default_workers(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        for v in model.BLAS_ENV:
+            monkeypatch.delenv(v, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert model._default_workers() == workers
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
