@@ -13,6 +13,19 @@ epoch's validation pass.
 Evaluation advances the state through val and test events (stale
 neighborhoods would otherwise degrade test scores), so a phase is scored
 against the state its predecessors left; calling it twice is not a repeat.
+
+Evaluation scores a batch while the stream moves on (``overlapped``).
+The calling thread draws the batch's negatives and builds its features,
+then hands its encode, scores and loss to the shared thread pool as one
+job.  While the job runs, the calling thread writes the batch back and
+builds the next one, whose job it hands over only once this one is
+collected.  Every table and history access and every draw stays on the
+calling thread.  A job reads only its own fresh feature arrays, the
+parameters and the scoring weights, none of which a phase writes, so it
+computes what one thread would.  Jobs are collected in batch order, so
+the metrics take the one-thread operands in the one-thread order, and
+the scores are the same bytes at any worker count.  With one worker the
+job runs at once on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from .memory import TemporalDiverseMemory
 from .metrics import auc_roc, average_precision
 from .model import (LinkPredictor, ModelDims, SequenceFeatures, adam_init,
                     adam_step, bce_loss, copy_params, init_params,
-                    save_params)
+                    overlapped, save_params)
 
 
 @dataclass
@@ -228,25 +241,34 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
 
     The state advances through every phase event, so the next phase is
     scored against it.  In inductive mode only events touching a masked
-    node are scored, but all events advance the state.
+    node are scored, but all events advance the state.  A batch is scored
+    while the next is built (see the module docstring); an error from
+    either thread is raised once no job runs, the first in batch order.
     """
     lo, hi = split.phase_range(phase)
     mask = scored_event_mask(g, split, phase)
     rng_neg = np.random.default_rng([cfg.seed, 0xEA7, lo])
     batches = _cut(np.arange(lo, hi), cfg.batch_size)
     weights = predictor.scoring_weights(params)
-    loss_sum, scored = 0.0, []
-    for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
-        m = np.flatnonzero(mask[ev - lo])
-        if not m.size:
-            continue
-        feats, pos, neg = _pair_features(g, ev[m], _take(squ, m),
-                                         _take(sqv, m), tdm, hist, cfg, ft,
-                                         eval_pool, rng_neg)
+
+    def inputs():
+        for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
+            m = np.flatnonzero(mask[ev - lo])
+            if m.size:
+                yield _pair_features(g, ev[m], _take(squ, m), _take(sqv, m),
+                                     tdm, hist, cfg, ft, eval_pool,
+                                     rng_neg) + (m.size,)
+
+    def score(feats, pos, neg, n):
+        # reads only its arguments, params and weights
         H = predictor.encode(params, feats, weights=weights)
         pp = predictor.score(params, H[pos[0]], H[pos[1]])
         pn = predictor.score(params, H[neg[0]], H[neg[1]])
-        loss_sum += bce_loss(pp, pn) * m.size
+        return pp, pn, bce_loss(pp, pn) * n
+
+    loss_sum, scored = 0.0, []
+    for pp, pn, loss in overlapped(score, inputs()):
+        loss_sum += loss
         scored.append((pp, pn))
     return _metrics(phase, scored, loss_sum)
 

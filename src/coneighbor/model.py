@@ -60,7 +60,8 @@ sum has the one-thread operands in the one-thread order.  Shard s draws
 its masks from a copy of the generator advanced to its first block's
 64-bit word (every block before it ends on a whole word), and the
 generator ends past every draw.  Loss, gradients, probabilities and
-generator state are therefore the same bytes at any W.
+generator state are therefore the same bytes at any W.  Evaluation hands
+the pool one scoring job at a time when W > 1 (``overlapped``).
 
 Scoring (encode) runs inner layers in blocks of whole sequences sized by
 BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
@@ -102,8 +103,10 @@ LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
 BLOCKS = ("node", "edge", "time", "co_long", "co_short")
 # bytes of one (rows, 5d) slice per scoring block: a block's temporaries
-# then fit a 2 MiB L2 cache several times over
-BLOCK_BYTES = 256 * 1024
+# then fit a 2 MiB L2 cache.  Each of a block's numpy calls lets another
+# thread take the GIL, so a scoring job on the pool (harness.evaluate)
+# in blocks of 256 KiB stalled the stream loop beside it
+BLOCK_BYTES = 512 * 1024
 # the same for a training block of pairs, which keeps every layer's
 # (rows, 5d) temporaries until its backward pass
 PAIR_BLOCK_BYTES = 512 * 1024
@@ -305,10 +308,11 @@ MAX_WORKERS = 2
 
 
 def _default_workers() -> int:
-    """Threads for a training step's pair blocks: the CPUs this process may
-    run on over the threads each BLAS call takes, the first of BLAS_ENV
-    that is set, at most MAX_WORKERS.  Unset or unreadable, BLAS takes
-    every CPU: one worker."""
+    """Threads for a training step's pair blocks and for scoring (the
+    stream loop and one scoring job): the CPUs this process may run on
+    over the threads each BLAS call takes, the first of BLAS_ENV that is
+    set, at most MAX_WORKERS.  Unset, unreadable or below 1 (OpenBLAS
+    then starts a thread per core), BLAS takes every CPU: one worker."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # no affinity call on this platform
@@ -318,10 +322,12 @@ def _default_workers() -> int:
         blas = int(blas)
     except ValueError:
         blas = cpus
-    return max(1, min(MAX_WORKERS, cpus // max(1, blas)))
+    if blas < 1:
+        blas = cpus
+    return max(1, min(MAX_WORKERS, cpus // blas))
 
 
-# worker count of a training step; the tests set it directly
+# worker count of a training step and of scoring; the tests set it directly
 _WORKERS = _default_workers()
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -361,6 +367,28 @@ def _run_shards(fn, n: int) -> list:
         for fu in futures:
             fu.exception()          # waits for the call, raises nothing
     return [first] + [fu.result() for fu in futures]
+
+
+def overlapped(fn, items) -> list:
+    """[fn(*x) for x in items].  When _WORKERS > 1 each call is a job on
+    the pool that runs while the caller draws the next x, at most one job
+    at a time.  Returns, or raises the first error in item order, only
+    once no job is running."""
+    if _WORKERS == 1:
+        return [fn(*x) for x in items]
+    out, job = [], None
+    try:
+        for x in items:
+            if job is not None:
+                out.append(job.result())
+            job = _pool().submit(fn, *x)
+        if job is not None:
+            out.append(job.result())
+    except BaseException:
+        if job is not None:
+            job.result()        # waits; the job's error comes first in order
+        raise
+    return out
 
 
 def _add_block(grads, gv, head, atg) -> None:

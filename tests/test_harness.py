@@ -1,12 +1,16 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from coneighbor import harness, model
+from coneighbor import harness, metrics, model
 from coneighbor.config import MATCH_PAPER, RunConfig
 from coneighbor.data import (TEST, VAL, from_arrays, scored_event_mask,
                              train_event_indices)
@@ -337,6 +341,188 @@ class TestEvaluate:
         res = run(rand_graph, cfg)
         assert res["mode"] == "inductive"
         assert 0.0 <= res["test_ap"] <= 1.0
+
+
+ENCODE = LinkPredictor.encode
+
+
+class TestOverlappedScoring:
+    """evaluate scores each batch as one job on the pool while the calling
+    thread writes the batch back and builds the next one: the scores
+    reach the metrics in the one-thread order with the one-thread bytes,
+    and no job outlives the call."""
+
+    @staticmethod
+    def checkpoint_scores(monkeypatch, workers, g, cfg):
+        """evaluate_checkpoint's metrics without wall_time, the bytes of
+        every (scores, labels) pair handed to average_precision, and the
+        threads encode ran on."""
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        handed, threads = [], []
+
+        def ap(scores, labels):
+            handed.append((scores.tobytes(), labels.tobytes()))
+            return metrics.average_precision(scores, labels)
+
+        def encode(self, *a, **kw):
+            threads.append(threading.current_thread())
+            return ENCODE(self, *a, **kw)
+
+        monkeypatch.setattr(harness, "average_precision", ap)
+        monkeypatch.setattr(LinkPredictor, "encode", encode)
+        dims = model_dims(g, cfg)
+        params = init_params(dims, 1, time_span=float(g.t[-1] - g.t[0]),
+                             dtype=np.float32)
+        res = evaluate_checkpoint(g, cfg, params, dims)
+        del res["wall_time"]
+        return res, handed, threads
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(layers=2),
+        dict(matching="strict"),
+        dict(mode="inductive", batch_size=8),
+        dict(batch_size=2000),          # every phase is a single batch
+    ])
+    def test_scores_do_not_depend_on_the_worker_count(self, rand_graph,
+                                                      monkeypatch, kw):
+        g, cfg = rand_graph, tiny_cfg(**kw)
+        one = self.checkpoint_scores(monkeypatch, 1, g, cfg)
+        two = self.checkpoint_scores(monkeypatch, 2, g, cfg)
+        assert one[0] == two[0]
+        assert len(one[1]) == 2 and one[1] == two[1]      # val, then test
+        main = threading.main_thread()
+        assert one[2] and all(t is main for t in one[2])
+        assert len(two[2]) == len(one[2])
+        assert not any(t is main for t in two[2])        # every job pooled
+        split = build_split(g, cfg)
+        for phase in (VAL, TEST):
+            lo, hi = split.phase_range(phase)
+            mask = scored_event_mask(g, split, phase)
+            scores = [mask[ev - lo].any()
+                      for ev in harness._cut(np.arange(lo, hi), cfg.batch_size)]
+            if cfg.mode == "inductive":   # some batches score nothing
+                assert 0 < sum(scores) < len(scores)
+            if cfg.batch_size > g.num_events:
+                assert len(scores) == 1
+
+    @staticmethod
+    def val_phase(g, cfg):
+        """A predictor, and a call that scores val with a given predictor
+        on state replayed through train."""
+        split, tdm, hist, ft, pool = harness._stream_setup(g, cfg)
+        replay_train(g, split, tdm, hist, cfg)
+        dims = model_dims(g, cfg)
+        params = init_params(dims, 1, dtype=np.float32)
+        return LinkPredictor(dims, cfg.dropout), lambda pred: evaluate(
+            g, split, tdm, hist, pred, params, cfg, VAL, ft, pool)
+
+    def val_scores(self, monkeypatch, workers, g, cfg, pred=None):
+        """val's metrics and the bytes of its scores, on fresh state."""
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        fresh, score_val = self.val_phase(g, cfg)
+        handed = []
+        monkeypatch.setattr(harness, "average_precision",
+                            lambda s, y: handed.append(s.tobytes()) or
+                            metrics.average_precision(s, y))
+        return score_val(pred or fresh), handed
+
+    @pytest.mark.parametrize("failing", [0, 3, -1])
+    def test_a_failing_job_raises_once_no_job_runs(self, rand_graph,
+                                                   monkeypatch, failing):
+        g, cfg = rand_graph, tiny_cfg(batch_size=20)
+        lo, hi = build_split(g, cfg).phase_range(VAL)
+        k = failing % -(-(hi - lo) // cfg.batch_size)
+        pred, score_val = self.val_phase(g, cfg)
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        started, running = [], []
+
+        def encode(self, *a, **kw):
+            started.append(None)
+            running.append(None)
+            try:
+                time.sleep(0.01)
+                if len(started) == k + 1:
+                    raise RuntimeError(f"batch {k} failed")
+                return ENCODE(self, *a, **kw)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(LinkPredictor, "encode", encode)
+        with pytest.raises(RuntimeError, match=f"batch {k} failed"):
+            score_val(pred)
+        assert not running              # every job had finished
+        assert len(started) == k + 1    # and none was started after it
+        monkeypatch.setattr(LinkPredictor, "encode", ENCODE)
+        # the predictor then scores as it would have: the one-thread bytes
+        assert (self.val_scores(monkeypatch, 2, g, cfg, pred)
+                == self.val_scores(monkeypatch, 1, g, cfg))
+
+    def test_a_calling_thread_error_waits_for_the_job(self, rand_graph,
+                                                      monkeypatch):
+        g, cfg = rand_graph, tiny_cfg()
+        pred, score_val = self.val_phase(g, cfg)
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        scored = []
+
+        def encode(self, *a, **kw):
+            time.sleep(0.05)
+            out = ENCODE(self, *a, **kw)
+            scored.append(threading.current_thread())
+            return out
+
+        def update(*a, **kw):
+            # batch 0's write, made while batch 0 is being scored
+            raise RuntimeError("update failed")
+
+        monkeypatch.setattr(LinkPredictor, "encode", encode)
+        monkeypatch.setattr(TemporalDiverseMemory, "apply_link_update", update)
+        with pytest.raises(RuntimeError, match="update failed"):
+            score_val(pred)
+        assert len(scored) == 1         # batch 0's job ran to its end
+        assert scored[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_job_error_comes_before_a_later_calling_thread_error(
+            self, rand_graph, monkeypatch, workers):
+        # one thread scores batch 0 before it writes batch 0 back, so
+        # batch 0's scoring error is the first in batch order
+        g, cfg = rand_graph, tiny_cfg()
+        pred, score_val = self.val_phase(g, cfg)
+        monkeypatch.setattr(model, "_WORKERS", workers)
+
+        def encode(self, *a, **kw):
+            time.sleep(0.05)
+            raise RuntimeError("scoring failed")
+
+        def update(*a, **kw):
+            raise ValueError("update failed")
+
+        monkeypatch.setattr(LinkPredictor, "encode", encode)
+        monkeypatch.setattr(TemporalDiverseMemory, "apply_link_update", update)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            score_val(pred)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_scores_on_its_own_pool(self, rand_graph,
+                                                   monkeypatch):
+        # the parent's pool threads do not exist in a forked child, so a
+        # child that used the parent's pool would wait on them forever
+        g, cfg = rand_graph, tiny_cfg()
+        want = self.val_scores(monkeypatch, 2, g, cfg)
+        assert model._POOL is not None
+
+        def child():
+            assert self.val_scores(monkeypatch, 2, g, cfg) == want
+            assert model._POOL is not None
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(30)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestStreamSetup:

@@ -648,6 +648,8 @@ class TestWorkers:
         (4, "2", 2),
         (4, "4", 1),
         (4, "many", 1),
+        (4, "0", 1),                   # OpenBLAS starts one per core
+        (4, "-1", 1),
     ])
     def test_default_workers(self, monkeypatch, cpus, blas, workers):
         monkeypatch.setattr(os, "sched_getaffinity",
