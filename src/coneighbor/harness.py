@@ -14,18 +14,11 @@ Evaluation advances the state through val and test events (stale
 neighborhoods would otherwise degrade test scores), so a phase is scored
 against the state its predecessors left; calling it twice is not a repeat.
 
-Evaluation scores a batch while the stream moves on (``overlapped``).
-The calling thread draws the batch's negatives and builds its features,
-then hands its encode, scores and loss to the shared thread pool as one
-job.  While the job runs, the calling thread writes the batch back and
-builds the next one, whose job it hands over only once this one is
-collected.  Every table and history access and every draw stays on the
-calling thread.  A job reads only its own fresh feature arrays, the
-parameters and the scoring weights, none of which a phase writes, so it
-computes what one thread would.  Jobs are collected in batch order, so
-the metrics take the one-thread operands in the one-thread order, and
-the scores are the same bytes at any worker count.  With one worker the
-job runs at once on the calling thread.
+Evaluation scores a batch as one job while the calling thread writes it
+back and builds the next (``parallel.overlapped``).  Every table and
+history access and every draw stays on the calling thread; a job reads
+only its own fresh features, the parameters and the scoring weights,
+none of which a phase writes, so it cannot change a score.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ from .memory import TemporalDiverseMemory
 from .metrics import auc_roc, average_precision
 from .model import (LinkPredictor, ModelDims, SequenceFeatures, adam_init,
                     adam_step, bce_loss, copy_params, init_params,
-                    overlapped, save_params)
+                    save_params)
+from .parallel import overlapped
 
 
 @dataclass
@@ -242,8 +236,7 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
     The state advances through every phase event, so the next phase is
     scored against it.  In inductive mode only events touching a masked
     node are scored, but all events advance the state.  A batch is scored
-    while the next is built (see the module docstring); an error from
-    either thread is raised once no job runs, the first in batch order.
+    while the next is built (see the module docstring).
     """
     lo, hi = split.phase_range(phase)
     mask = scored_event_mask(g, split, phase)
@@ -260,7 +253,6 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
                                      rng_neg) + (m.size,)
 
     def score(feats, pos, neg, n):
-        # reads only its arguments, params and weights
         H = predictor.encode(params, feats, weights=weights)
         pp = predictor.score(params, H[pos[0]], H[pos[1]])
         pn = predictor.score(params, H[neg[0]], H[neg[1]])

@@ -50,18 +50,16 @@ centred time rows of the folded weight contract to the time_freq
 gradient.  The block's (rows, 5d) temporaries live in scratch that the
 predictor sizes at first use and reuses, one set per thread.
 
-A step runs its blocks as W contiguous shards: the calling thread runs
-shard 0 and a shared thread pool the others, W = min(blocks,
-MAX_WORKERS, CPUs // BLAS threads), so W = 1 when BLAS is unpinned.
-Every sum (each layer's A^T G, the merge and out gradients) takes its
-blocks' terms in block order: shard 0 adds its own as it goes, the other
-shards keep theirs, and the caller adds them after shard 0's, so each
-sum has the one-thread operands in the one-thread order.  Shard s draws
-its masks from a copy of the generator advanced to its first block's
-64-bit word (every block before it ends on a whole word), and the
-generator ends past every draw.  Loss, gradients, probabilities and
-generator state are therefore the same bytes at any W.  Evaluation hands
-the pool one scoring job at a time when W > 1 (``overlapped``).
+A step runs its blocks as W = min(blocks, parallel.WORKERS) contiguous
+shards, shard 0 on the calling thread.  Every sum (each layer's A^T G,
+the merge and out gradients) takes its blocks' terms in block order:
+shard 0 adds its own as it goes, and the caller adds the other shards'
+after it, so each sum has the one-thread operands in the one-thread
+order.  Shard s draws its masks from a copy of the generator advanced to
+its first block's 64-bit word, as every block before it ends on a whole
+word; other generators than the PCG64 family, which advance by other
+steps, take one shard.  The generator ends past every draw and keeps
+the caller's buffered 32-bit half-word.
 
 Scoring (encode) runs inner layers in blocks of whole sequences sized by
 BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
@@ -86,13 +84,12 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
-import threading
 from dataclasses import astuple, dataclass
 from zipfile import BadZipFile
 
 import numpy as np
 
+from . import parallel
 from .errors import CheckpointError, ConfigError, NumericalError
 
 PARAMS_VERSION = 4
@@ -113,8 +110,6 @@ PAIR_BLOCK_BYTES = 512 * 1024
 # raw 64-bit draws per generator call: 64 KiB, under glibc's default mmap
 # threshold, so drawing a block's masks maps no fresh pages
 DRAW_WORDS = 8192
-# the variables that set each BLAS call's thread count, first match wins
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -253,22 +248,6 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ModelDims, dict, dict]:
     return params, dims, config, stream
 
 
-def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sqrt(1/d_T) * [cos(dt*w_1), sin(dt*w_2), cos(dt*w_3), ...].
-
-    Even output columns are cosines, odd are sines, each with its own
-    frequency.  A zero delta therefore encodes to the fixed pattern
-    sqrt(1/d_T)*[1, 0, 1, 0, ...].
-    """
-    args = dt[..., None] * freqs
-    out = np.empty_like(args)
-    out[..., 0::2] = np.cos(args[..., 0::2])
-    out[..., 1::2] = np.sin(args[..., 1::2])
-    # a scale of out's own dtype keeps a float32 product in float32
-    out *= out.dtype.type(np.sqrt(1.0 / freqs.shape[0]))
-    return out
-
-
 def _centre(w: np.ndarray) -> np.ndarray:
     """w minus its mean over the last (output) axis."""
     return w - w.mean(axis=-1, keepdims=True)
@@ -301,109 +280,12 @@ def _dropout_mask(rng: np.random.Generator, t: int, out: np.ndarray) -> None:
         np.greater_equal(raw[:c], t, out=out[lo:lo + c])
 
 
-# most workers a training step uses: BENCH_10.json measured speed and
-# peak memory at 2 (2 CPUs); more threads contend for the GIL, and their
-# speed and memory are unmeasured
-MAX_WORKERS = 2
-
-
-def _default_workers() -> int:
-    """Threads for a training step's pair blocks and for scoring (the
-    stream loop and one scoring job): the CPUs this process may run on
-    over the threads each BLAS call takes, the first of BLAS_ENV that is
-    set, at most MAX_WORKERS.  Unset, unreadable or below 1 (OpenBLAS
-    then starts a thread per core), BLAS takes every CPU: one worker."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    blas = next((os.environ[v] for v in BLAS_ENV if os.environ.get(v)), "")
-    try:
-        blas = int(blas)
-    except ValueError:
-        blas = cpus
-    if blas < 1:
-        blas = cpus
-    return max(1, min(MAX_WORKERS, cpus // blas))
-
-
-# worker count of a training step and of scoring; the tests set it directly
-_WORKERS = _default_workers()
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The shared executor, made at first use.  It starts a thread only
-    when no started one is idle, so a step of W shards keeps W - 1."""
-    global _POOL
-    # imported here: with its logging import it adds 0.6 MB to every
-    # process, and only one that trains on several workers needs it
-    from concurrent.futures import ThreadPoolExecutor
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(os.cpu_count(), "coneighbor-shard")
-        return _POOL
-
-
-def _drop_pool() -> None:
-    # a forked child has none of its parent's threads
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _run_shards(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], fn(0) on this thread and the rest on the
-    pool.  Returns, or raises the first error in shard order, only once
-    every call has finished."""
-    futures = [_pool().submit(fn, s) for s in range(1, n)]
-    try:
-        first = fn(0)
-    finally:
-        for fu in futures:
-            fu.exception()          # waits for the call, raises nothing
-    return [first] + [fu.result() for fu in futures]
-
-
-def overlapped(fn, items) -> list:
-    """[fn(*x) for x in items].  When _WORKERS > 1 each call is a job on
-    the pool that runs while the caller draws the next x, at most one job
-    at a time.  Returns, or raises the first error in item order, only
-    once no job is running."""
-    if _WORKERS == 1:
-        return [fn(*x) for x in items]
-    out, job = [], None
-    try:
-        for x in items:
-            if job is not None:
-                out.append(job.result())
-            job = _pool().submit(fn, *x)
-        if job is not None:
-            out.append(job.result())
-    except BaseException:
-        if job is not None:
-            job.result()        # waits; the job's error comes first in order
-        raise
-    return out
-
-
 def _add_block(grads, gv, head, atg) -> None:
     """Add one pair block's terms from ``_pair_block`` to the sums."""
     for k, term in head.items():
         grads[k] += term
     for g, term in zip(gv, atg):
         g += term
-
-
-class _PerThread(threading.local):
-    """A predictor's scratch buffers, one dict per thread."""
-
-    def __init__(self):
-        self.buffers = {}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -435,7 +317,7 @@ class LinkPredictor:
         # draw values drop, and the inverted scale uses that quantised rate
         self._drop_t = min(round(dropout * 65536), 65535)
         self._keep_scale = 1.0 / (1.0 - self._drop_t / 65536)
-        self._local = _PerThread()
+        self._local = parallel.PerThread()
 
     # -- forward -------------------------------------------------------
 
@@ -559,22 +441,18 @@ class LinkPredictor:
         is_pos = np.arange(P) < n_pos
         count = np.where(is_pos, n_pos, P - n_pos).astype(dtype)
         probs = np.empty(P, dtype)
-        W = max(1, min(len(blocks), _WORKERS))     # no pairs: one empty shard
+        W = max(1, min(len(blocks), parallel.WORKERS))   # 0 pairs: 1 shard
         if drop and not isinstance(rng.bit_generator, (np.random.PCG64,
                                                        np.random.PCG64DXSM)):
             W = 1       # only these advance by one 64-bit word per draw
         cut = [len(blocks) * s // W for s in range(W + 1)]
         shards = [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])]
-        # shard 0 draws from rng, shard s from a copy advanced to its first
-        # block's word: every block before it ends on a whole word
         gens = [rng if drop else None] + [
             np.random.Generator(copy.deepcopy(rng.bit_generator).advance(
                 sh[0].start * 2 * L * l * f // 4)) if drop else None
             for sh in shards[1:]]
 
         def shard(s):
-            """Shard 0 adds each block into grads and gv; the others keep
-            theirs, to be added after it in block order."""
             kept = []
             for blk in shards[s]:
                 atg = ([self._scratch(("atg", k), g.shape, dtype)
@@ -589,13 +467,11 @@ class LinkPredictor:
                     kept.append((head, atg))
             return kept
 
-        for kept in _run_shards(shard, W)[1:]:
+        for kept in parallel.run_shards(shard, W)[1:]:
             for head, atg in kept:
                 _add_block(grads, gv, head, atg)
         if drop and W > 1:
-            # rng ends past every draw, where the last shard's copy ended;
-            # its buffered 32-bit half-word, which raw draws never touch,
-            # is kept
+            # the last shard's end state; rng keeps its buffered half-word
             state = rng.bit_generator.state
             state["state"] = gens[-1].bit_generator.state["state"]
             rng.bit_generator.state = state

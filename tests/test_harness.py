@@ -4,13 +4,16 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coneighbor import harness, metrics, model
+from coneighbor import harness, metrics, parallel
 from coneighbor.config import MATCH_PAPER, RunConfig
 from coneighbor.data import (TEST, VAL, from_arrays, scored_event_mask,
                              train_event_indices)
@@ -357,7 +360,7 @@ class TestOverlappedScoring:
         """evaluate_checkpoint's metrics without wall_time, the bytes of
         every (scores, labels) pair handed to average_precision, and the
         threads encode ran on."""
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         handed, threads = [], []
 
         def ap(scores, labels):
@@ -419,7 +422,7 @@ class TestOverlappedScoring:
 
     def val_scores(self, monkeypatch, workers, g, cfg, pred=None):
         """val's metrics and the bytes of its scores, on fresh state."""
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         fresh, score_val = self.val_phase(g, cfg)
         handed = []
         monkeypatch.setattr(harness, "average_precision",
@@ -434,7 +437,7 @@ class TestOverlappedScoring:
         lo, hi = build_split(g, cfg).phase_range(VAL)
         k = failing % -(-(hi - lo) // cfg.batch_size)
         pred, score_val = self.val_phase(g, cfg)
-        monkeypatch.setattr(model, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         started, running = [], []
 
         def encode(self, *a, **kw):
@@ -462,7 +465,7 @@ class TestOverlappedScoring:
                                                       monkeypatch):
         g, cfg = rand_graph, tiny_cfg()
         pred, score_val = self.val_phase(g, cfg)
-        monkeypatch.setattr(model, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         scored = []
 
         def encode(self, *a, **kw):
@@ -489,7 +492,7 @@ class TestOverlappedScoring:
         # batch 0's scoring error is the first in batch order
         g, cfg = rand_graph, tiny_cfg()
         pred, score_val = self.val_phase(g, cfg)
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
 
         def encode(self, *a, **kw):
             time.sleep(0.05)
@@ -510,11 +513,11 @@ class TestOverlappedScoring:
         # child that used the parent's pool would wait on them forever
         g, cfg = rand_graph, tiny_cfg()
         want = self.val_scores(monkeypatch, 2, g, cfg)
-        assert model._POOL is not None
+        assert parallel._POOL is not None
 
         def child():
             assert self.val_scores(monkeypatch, 2, g, cfg) == want
-            assert model._POOL is not None
+            assert parallel._POOL is not None
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()
@@ -523,6 +526,29 @@ class TestOverlappedScoring:
             proc.kill()
             proc.join()
         assert proc.exitcode == 0
+
+    def test_one_worker_never_starts_the_pool(self):
+        # a process of its own, with BLAS unpinned so that W = 1: pytest's
+        # own process may already have imported concurrent.futures
+        env = {k: v for k, v in os.environ.items()
+               if k not in parallel.BLAS_ENV}
+        env["PYTHONPATH"] = str(Path(parallel.__file__).parents[1])
+        code = f"""
+import sys
+import coneighbor.cli
+from coneighbor import harness, parallel
+from coneighbor.config import RunConfig
+from coneighbor.synthetic import random_stream
+assert parallel.WORKERS == 1
+res = harness.run(random_stream(40, 600, seed=11, edge_dim=2),
+                  RunConfig(**{dict(TINY, epochs=1)!r}))
+assert res["test_ap"] > 0
+assert "concurrent.futures" not in sys.modules
+assert parallel._POOL is None
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStreamSetup:
@@ -665,12 +691,12 @@ class TestRunDriver:
         # 400 pairs a step, 218 to a block: two shards at two workers
         cfg = tiny_cfg(epochs=2, seed=4, layers=2)
         shards = []
-        real = model._run_shards
-        monkeypatch.setattr(model, "_run_shards",
+        real = parallel.run_shards
+        monkeypatch.setattr(parallel, "run_shards",
                             lambda fn, n: shards.append(n) or real(fn, n))
         metrics = []
         for workers in (1, 2):
-            monkeypatch.setattr(model, "_WORKERS", workers)
+            monkeypatch.setattr(parallel, "WORKERS", workers)
             write_json(tmp_path / "metrics.json", run(rand_graph, cfg))
             metrics.append(json.loads((tmp_path / "metrics.json").read_text()))
             del metrics[-1]["wall_time"]

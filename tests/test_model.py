@@ -8,14 +8,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coneighbor import model
+from coneighbor import model, parallel
 from coneighbor.config import RunConfig
 from coneighbor.errors import CheckpointError, ConfigError, NumericalError
 from coneighbor.model import (BLOCKS, CLAMP_EPS, PARAMS_VERSION, AdamState,
                               LinkPredictor, ModelDims, SequenceFeatures,
                               adam_init, adam_step, bce_loss, copy_params,
                               init_params, init_time_frequencies, load_params,
-                              param_shapes, save_params, time_encode)
+                              param_shapes, save_params)
+
+
+def time_encode(dt: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Reference time encoding, which the layer-0 builder inlines:
+    sqrt(1/d_T) * [cos(dt*w_1), sin(dt*w_2), cos(dt*w_3), ...].
+
+    Even output columns are cosines, odd are sines, each with its own
+    frequency.  A zero delta therefore encodes to the fixed pattern
+    sqrt(1/d_T)*[1, 0, 1, 0, ...].
+    """
+    args = dt[..., None] * freqs
+    out = np.empty_like(args)
+    out[..., 0::2] = np.cos(args[..., 0::2])
+    out[..., 1::2] = np.sin(args[..., 1::2])
+    # a scale of out's own dtype keeps a float32 product in float32
+    out *= out.dtype.type(np.sqrt(1.0 / freqs.shape[0]))
+    return out
 
 
 def make_feats(rng, S=6, l=3, d_N=2, d_E=1):
@@ -502,7 +519,7 @@ class TestBlockedEncoder:
     def traced_step(rng, monkeypatch, workers):
         """Traced peak of one training step at the given worker count, and
         the size of one (S, l, 5d) array."""
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         dims = ModelDims(node_dim=0, edge_dim=0, time_dim=50, hidden=50,
                          out_dim=50, layers=1)
         S, l = 200, 32
@@ -530,7 +547,7 @@ class TestWorkers:
     @staticmethod
     def step(monkeypatch, workers, layers, dropout, hidden, dtype,
              pred=None):
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=hidden,
                          out_dim=3, layers=layers)
         l, S = 5, 11
@@ -592,7 +609,7 @@ class TestWorkers:
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_a_failing_shard_raises_after_every_shard_finished(
             self, monkeypatch, failing):
-        real = model._run_shards
+        real = parallel.run_shards
         finished = []
 
         def run_shards(fn, n):
@@ -605,7 +622,7 @@ class TestWorkers:
                 return out
             return real(shard, n)
 
-        monkeypatch.setattr(model, "_run_shards", run_shards)
+        monkeypatch.setattr(parallel, "run_shards", run_shards)
         pred = LinkPredictor(ModelDims(node_dim=2, edge_dim=1, time_dim=6,
                                        hidden=4, out_dim=3, layers=2),
                              dropout=0.3)
@@ -613,7 +630,7 @@ class TestWorkers:
             self.step(monkeypatch, 3, 2, 0.3, 4, np.float64, pred)
         # the error surfaced only once the other two shards were done
         assert sorted(finished) == sorted({0, 1, 2} - {failing})
-        monkeypatch.setattr(model, "_run_shards", real)
+        monkeypatch.setattr(parallel, "run_shards", real)
         # the predictor then trains as it would have: the one-thread bytes
         self.assert_identical(
             self.step(monkeypatch, 3, 2, 0.3, 4, np.float64, pred),
@@ -622,7 +639,7 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_pairs_leave_the_gradients_and_generator_alone(
             self, monkeypatch, workers):
-        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         dims = ModelDims(node_dim=2, edge_dim=1, time_dim=6, hidden=4,
                          out_dim=3, layers=2)
         r = np.random.default_rng(4)
@@ -642,7 +659,7 @@ class TestWorkers:
         np.testing.assert_equal(gen.bit_generator.state, before)
 
     @pytest.mark.parametrize("cpus, blas, workers", [
-        (64, "1", model.MAX_WORKERS),  # more were never measured
+        (64, "1", parallel.MAX_WORKERS),  # more were never measured
         (2, "1", 2),
         (2, None, 1),                  # BLAS takes every CPU
         (4, "2", 2),
@@ -654,11 +671,11 @@ class TestWorkers:
     def test_default_workers(self, monkeypatch, cpus, blas, workers):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-        for v in model.BLAS_ENV:
+        for v in parallel.BLAS_ENV:
             monkeypatch.delenv(v, raising=False)
         if blas is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        assert model._default_workers() == workers
+        assert parallel._default_workers() == workers
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
