@@ -61,10 +61,11 @@ word; other generators than the PCG64 family, which advance by other
 steps, take one shard.  The generator ends past every draw and keeps
 the caller's buffered 32-bit half-word.
 
-Scoring (encode) runs inner layers in blocks of whole sequences sized by
-BLOCK_BYTES, building layer 0's [raw inputs, 1] per block as training
-does, and collapses the last layer, never building its (S, l, 5d)
-output.  With a_p the last layer's k-wide input at position p and
+Scoring (encode) runs every layer one block of whole sequences at a
+time, so it builds no (S, l, 5d) array at any depth: a block builds layer
+0's [raw inputs, 1] as training does, writes each inner layer's [z, 1]
+into one reused buffer, and collapses the last layer into its pooled
+row.  With a_p the last layer's k-wide input at position p and
 A_p = [a_p, 1], the form every layer's input already has, layer norm
 needs only |A_p V|^2 = |A_p R^T|^2, where R is the triangular factor of
 one float64 QR of V^T, applied whole: at most k+1 columns wide, and a sum
@@ -99,13 +100,14 @@ CLAMP_EPS = 1e-7
 LN_EPS = 1e-5
 # the five d-wide blocks of the fused input, in concatenation order
 BLOCKS = ("node", "edge", "time", "co_long", "co_short")
-# bytes of one (rows, 5d) slice per scoring block: a block's temporaries
-# then fit a 2 MiB L2 cache.  Each of a block's numpy calls lets another
-# thread take the GIL, so a scoring job on the pool (harness.evaluate)
-# in blocks of 256 KiB stalled the stream loop beside it
+# bytes of a scoring block's input to the last layer (k + 1 wide at one
+# layer, 5d + 1 at more): a block's temporaries then fit a 2 MiB L2
+# cache.  Each of a block's numpy calls lets another thread take the
+# GIL, so a scoring job on the pool (harness.evaluate) in blocks of
+# 256 KiB stalled the stream loop beside it
 BLOCK_BYTES = 512 * 1024
-# the same for a training block of pairs, which keeps every layer's
-# (rows, 5d) temporaries until its backward pass
+# bytes of one (rows, 5d) slice of a training block of pairs, which keeps
+# every layer's temporaries until its backward pass
 PAIR_BLOCK_BYTES = 512 * 1024
 # raw 64-bit draws per generator call: 64 KiB, under glibc's default mmap
 # threshold, so drawing a block's masks maps no fresh pages
@@ -324,32 +326,34 @@ class LinkPredictor:
     def encode(self, params, feats: SequenceFeatures, *,
                weights=None) -> np.ndarray:
         """Sequences -> (S, d_o) node representations, for scoring: no
-        dropout, and the last layer in collapsed form (see the module
-        docstring).  weights is ``scoring_weights(params)``, computed here
-        when not given."""
+        dropout, every layer one block of sequences at a time and the last
+        in collapsed form (see the module docstring).  weights is
+        ``scoring_weights(params)``, computed here when not given."""
         if weights is None:
             weights = self.scoring_weights(params)
         layers, R, VW = weights
         S, l = feats.dt.shape
-        f = self.dims.fused
+        f, k1 = self.dims.fused, R.shape[1]
         dtype = np.result_type(feats.dt, feats.node, feats.edge, feats.co_long,
                                feats.co_short, params["time_freq"],
                                layers[0])
-        z = None
-        for V in layers[:-1]:
-            z_in, z = z, np.empty((S, l, f + 1), dtype)
-            z[..., f] = 1.0
-            for blk in _blocks(S, l * f * np.dtype(dtype).itemsize,
-                               BLOCK_BYTES):
-                n = blk.stop - blk.start
-                ab = (self._layer0_input(params, feats, blk, self._scratch(
-                    "a0", (n, l, V.shape[0]), dtype)) if z_in is None
-                      else z_in[blk])
-                ub = self._scratch(("u", 0), (n, l, f), dtype)
-                np.matmul(ab.reshape(-1, V.shape[0]), V, out=ub.reshape(-1, f))
-                np.multiply(ub, _inv_std(ub, f), out=z[blk, :, :f])
-        return self._collapsed_last_layer(params, feats, z, R.astype(dtype),
-                                          VW, dtype)
+        R = R.astype(dtype)
+        wc = np.empty((S, k1), dtype)        # sum_p inv_p * A_p
+        for blk in _blocks(S, l * k1 * np.dtype(dtype).itemsize, BLOCK_BYTES):
+            n = blk.stop - blk.start
+            ab = self._layer0_input(params, feats, blk, self._scratch(
+                "a0", (n, l, layers[0].shape[0]), dtype))
+            for V in layers[:-1]:
+                # the matmul reads all of ab before z is overwritten
+                u = self._scratch(("u", 0), (n, l, f), dtype)
+                np.matmul(ab.reshape(-1, V.shape[0]), V, out=u.reshape(-1, f))
+                ab = self._scratch("z", (n, l, f + 1), dtype)
+                ab[..., f] = 1.0
+                np.multiply(u, _inv_std(u, f), out=ab[..., :f])
+            # |A_p R^T|^2 = |y_p|^2 of the f-wide last-layer output
+            c = _inv_std(ab.reshape(-1, k1) @ R.T, f).reshape(-1, 1, l)
+            np.matmul(c, ab, out=wc[blk, None])
+        return wc @ (VW / l) + params["out_b"]
 
     def scoring_weights(self, params):
         """What encode derives from params alone: the centred weights of
@@ -360,24 +364,6 @@ class LinkPredictor:
         V = layers[-1]
         R = np.linalg.qr(V.T.astype(np.float64), mode="r")
         return layers, R, V @ params["out_w"]
-
-    def _collapsed_last_layer(self, params, feats, z, R, VW, dtype):
-        """(S, d_o) readout of the last layer, without dropout, from its
-        (S, l, k + 1) input A = [a, 1]: z, or layer 0's when z is None,
-        built per block; the module docstring derives the form."""
-        S, l = feats.dt.shape
-        k1 = R.shape[1]
-        wc = np.empty((S, k1), dtype)        # sum_p inv_p * A_p
-        # no temporary here is wider than k + 1
-        for blk in _blocks(S, l * k1 * np.dtype(dtype).itemsize, BLOCK_BYTES):
-            ab = (self._layer0_input(params, feats, blk, self._scratch(
-                "a0", (blk.stop - blk.start, l, k1), dtype)) if z is None
-                  else z[blk])
-            u = ab.reshape(-1, k1) @ R.T
-            # |u|^2 = |y|^2 of the f-wide layer output y
-            c = _inv_std(u, self.dims.fused).reshape(-1, 1, l)
-            np.matmul(c, ab, out=wc[blk, None])
-        return wc @ (VW / l) + params["out_b"]
 
     def _fold_layer0(self, params):
         """Projections composed with fuse0: (sum_b k_b, 5d) weight, 5d bias."""
