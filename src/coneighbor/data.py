@@ -8,18 +8,17 @@ the padding sentinel throughout the package and never appears as an endpoint.
 CSV files are parsed two ways, and no option chooses between them.  A file
 whose event cells are all plain numbers, in the spellings numpy's tokenizer
 reads, is parsed a column at a time by one ``np.loadtxt`` call.  If that
-parse raises for any reason, the row reader parses the file again with the
-csv module and Python's ``int`` and ``float``: it alone reads ``3.0`` ids,
-quoted cells, ``1_000`` and non-numeric labels, and it alone decides every
-error and line number.  The two give the same graph wherever both accept a
-file.
+parse, or building the graph from its columns, refuses the file for any
+reason, the row reader parses it again with the csv module and Python's
+``int`` and ``float``: it alone reads ``3.0`` ids, quoted cells, ``1_000``
+and non-numeric labels, and it alone decides every error and line number.
+The two give the same graph wherever both accept a file.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
@@ -135,16 +134,6 @@ def _node_id(cell: str) -> int:
     return int(x)
 
 
-def _event_line(path: Path, fmt: CsvLayout, has_header: bool,
-                index: int) -> int:
-    """The 1-based line number of event row ``index``, counted as
-    load_events counts lines."""
-    with path.open(newline="") as fh:
-        lines = (line_no for line_no, row in
-                 enumerate(csv.reader(fh, delimiter=fmt.delimiter), 1) if row)
-        return next(itertools.islice(lines, index + bool(has_header), None))
-
-
 def _feature_start(path: Path, fmt: CsvLayout, ncols: int) -> int:
     """Index of the first feature column, given the first event row's
     column count; the label column, sniffed or told, sits before it."""
@@ -169,15 +158,15 @@ def load_events(path: str | Path, fmt: CsvLayout = CsvLayout()) -> TemporalGraph
     in int64.  Sorting is stable, so events sharing a timestamp keep their
     file order.
 
-    Well-formed files take ``_parse_columns``; the rest take ``_load_rows``
+    Well-formed files take ``_parse_columns``; a file that it or
+    ``from_arrays`` refuses takes ``_load_rows``, which reports the error
     (see the module docstring).
     """
     path = Path(path)
     try:
-        has_header, src, dst, t, feats = _parse_columns(path, fmt)
+        return from_arrays(*_parse_columns(path, fmt))
     except Exception:
         return _load_rows(path, fmt)
-    return _to_graph(path, fmt, has_header, src, dst, t, feats)
 
 
 def _parse_columns(path: Path, fmt: CsvLayout):
@@ -214,7 +203,7 @@ def _parse_columns(path: Path, fmt: CsvLayout):
                               comments=None, quotechar=None, skiprows=skip,
                               ndmin=1)
     feats = cols["rest"][:, feat_start - 3:] if feat_start < ncols else None
-    return has_header, cols["src"], cols["dst"], cols["t"], feats
+    return cols["src"], cols["dst"], cols["t"], feats
 
 
 def _load_rows(path: Path, fmt: CsvLayout) -> TemporalGraph:
@@ -223,7 +212,7 @@ def _load_rows(path: Path, fmt: CsvLayout) -> TemporalGraph:
     read."""
     has_header = fmt.has_header
     seen_row = False
-    ncols = None
+    ncols = negative = None
     # int64 arrays: appending an id that does not fit raises OverflowError
     src, dst = array("q"), array("q")
     ts, feats = array("d"), []
@@ -251,6 +240,9 @@ def _load_rows(path: Path, fmt: CsvLayout) -> TemporalGraph:
                     u, v = _node_id(row[0]), _node_id(row[1])
                 src.append(u)
                 dst.append(v)
+                if (u < 0 or v < 0) and negative is None:
+                    # raised after the last row: a malformed row wins
+                    negative = line_no, f"node id {min(u, v)} is negative"
                 ts.append(float(row[2]))
                 if has_feats:
                     feats.append([float(c) for c in row[feat_start:]])
@@ -262,21 +254,10 @@ def _load_rows(path: Path, fmt: CsvLayout) -> TemporalGraph:
         raise EmptyInputError(f"{path}: no rows")
     if ncols is None:
         raise EmptyInputError(f"{path}: header only, no events")
-    return _to_graph(path, fmt, has_header, src, dst, ts,
-                     np.asarray(feats, dtype=np.float64) if has_feats else None)
-
-
-def _to_graph(path: Path, fmt: CsvLayout, has_header: bool,
-              src, dst, t, edge_feats) -> TemporalGraph:
-    """The parsed columns, in file order, as a graph; a negative id raises
-    ParseError with its line."""
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    if min(src.min(), dst.min()) < 0:
-        # rows are not numbered while parsing; find the line only here
-        i = int(np.flatnonzero((src < 0) | (dst < 0))[0])
-        raise ParseError(_event_line(path, fmt, has_header, i),
-                         f"node id {min(src[i], dst[i])} is negative")
-    return from_arrays(src, dst, t, edge_feats=edge_feats)
+    if negative is not None:
+        raise ParseError(*negative)
+    return from_arrays(src, dst, ts, edge_feats=(
+        np.asarray(feats, dtype=np.float64) if has_feats else None))
 
 
 def from_arrays(src, dst, t, edge_feats=None, node_feats=None) -> TemporalGraph:

@@ -39,8 +39,7 @@ from .history import HistoryStore, NeighborSequenceBatch
 from .memory import TemporalDiverseMemory
 from .metrics import auc_roc, average_precision
 from .model import (LinkPredictor, ModelDims, SequenceFeatures, adam_init,
-                    adam_step, bce_loss, copy_params, init_params,
-                    save_params)
+                    adam_step, copy_params, init_params, save_params)
 from .parallel import overlapped
 
 
@@ -48,7 +47,6 @@ from .parallel import overlapped
 class Metrics:
     ap: float
     auc: float
-    loss: float
 
 
 @dataclass
@@ -191,40 +189,39 @@ def _pair_features(g: TemporalGraph, ev: np.ndarray,
             (2 * B + r, 3 * B + r))
 
 
-def _metrics(phase: str, scored: list, loss_sum: float) -> Metrics:
-    """AP/AUC over the batches' (pos, neg) scores, in batch order.
-
-    loss_sum is the sum over batches of mean loss times positive events.
-    """
+def _metrics(phase: str, scored: list) -> Metrics:
+    """AP/AUC over the batches' (pos, neg) scores, in batch order."""
     if not scored:
         raise UndefinedMetricError(f"no scored events in phase {phase!r}")
     s = np.concatenate([x for pair in scored for x in pair])
     y = np.concatenate([np.r_[np.ones(pp.size, dtype=bool),
                               np.zeros(pn.size, dtype=bool)]
                         for pp, pn in scored])
-    return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y),
-                   loss=loss_sum / sum(pp.size for pp, _ in scored))
+    return Metrics(ap=average_precision(s, y), auc=auc_roc(s, y))
 
 
 def train_epoch(g: TemporalGraph, split: SplitSpec,
                 tdm: TemporalDiverseMemory, hist: HistoryStore,
                 predictor: LinkPredictor, params, adam, cfg: RunConfig,
                 epoch: int, ft: FeatureTables,
-                train_pool: np.ndarray) -> Metrics:
-    """One pass over the train stream.  Caller resets state beforehand."""
+                train_pool: np.ndarray) -> float:
+    """One pass over the train stream; returns the mean loss per positive
+    event.  Caller resets state beforehand."""
     rng_neg = np.random.default_rng([cfg.seed, 0x4E6, epoch])
     rng_drop = np.random.default_rng([cfg.seed, 0xD80, epoch])
-    batches = _cut(train_event_indices(g, split), cfg.batch_size)
-    loss_sum, scored = 0.0, []
-    for ev, squ, sqv in stream_batches(g, batches, tdm, hist, cfg):
+    idx = train_event_indices(g, split)
+    if not idx.size:
+        raise UndefinedMetricError("no scored events in phase 'train'")
+    loss_sum = 0.0
+    for ev, squ, sqv in stream_batches(g, _cut(idx, cfg.batch_size), tdm,
+                                       hist, cfg):
         feats, pos, neg = _pair_features(g, ev, squ, sqv, tdm, hist, cfg, ft,
                                          train_pool, rng_neg)
-        loss, grads, pair = predictor.loss_and_grads(
+        loss, grads, _ = predictor.loss_and_grads(
             params, feats, pos, neg, training=True, rng=rng_drop)
         adam_step(params, grads, adam, lr=cfg.lr)
         loss_sum += loss * ev.size
-        scored.append(pair)
-    return _metrics("train", scored, loss_sum)
+    return loss_sum / idx.size
 
 
 def evaluate(g: TemporalGraph, split: SplitSpec,
@@ -249,20 +246,14 @@ def evaluate(g: TemporalGraph, split: SplitSpec,
             m = np.flatnonzero(mask[ev - lo])
             if m.size:
                 yield _pair_features(g, ev[m], _take(squ, m), _take(sqv, m),
-                                     tdm, hist, cfg, ft, eval_pool,
-                                     rng_neg) + (m.size,)
+                                     tdm, hist, cfg, ft, eval_pool, rng_neg)
 
-    def score(feats, pos, neg, n):
+    def score(feats, pos, neg):
         H = predictor.encode(params, feats, weights=weights)
-        pp = predictor.score(params, H[pos[0]], H[pos[1]])
-        pn = predictor.score(params, H[neg[0]], H[neg[1]])
-        return pp, pn, bce_loss(pp, pn) * n
+        return (predictor.score(params, H[pos[0]], H[pos[1]]),
+                predictor.score(params, H[neg[0]], H[neg[1]]))
 
-    loss_sum, scored = 0.0, []
-    for pp, pn, loss in overlapped(score, inputs()):
-        loss_sum += loss
-        scored.append((pp, pn))
-    return _metrics(phase, scored, loss_sum)
+    return _metrics(phase, overlapped(score, inputs()))
 
 
 def build_split(g: TemporalGraph, cfg: RunConfig) -> SplitSpec:
@@ -313,14 +304,14 @@ def run(g: TemporalGraph, cfg: RunConfig, dataset: str = "stream",
     for epoch in range(cfg.epochs):
         tdm.reset()
         hist.reset()
-        tr = train_epoch(g, split, tdm, hist, predictor, params, adam, cfg,
-                         epoch, ft, train_pool)
+        train_loss.append(train_epoch(g, split, tdm, hist, predictor,
+                                      params, adam, cfg, epoch, ft,
+                                      train_pool))
         # validation advances the state: the next epoch resets it, and after
         # the last epoch the test phase starts from it
         vm = evaluate(g, split, tdm, hist, predictor, params, cfg, VAL,
                       ft, eval_pool)
         epochs.append(epoch)
-        train_loss.append(tr.loss)
         val_ap.append(vm.ap)
         val_auc.append(vm.auc)
         if vm.ap > best_ap:

@@ -111,6 +111,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: no scored events in phase {phase!r}\n")
 
+    def test_train_phase_scoring_no_event_is_data_error(self, tmp_path,
+                                                        capsys):
+        # two nodes: the one masked node touches every train event
+        path = tmp_path / "stream.csv"
+        path.write_text("".join(f"{t % 2},{1 - t % 2},{t}\n"
+                                for t in range(1, 61)))
+        code = run_cli("train", "--data", str(path), "--out",
+                       str(tmp_path / "out"), *FAST, "--mode", "inductive",
+                       "--inductive-fraction", "0.5")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: no scored events in phase 'train'\n")
+
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"],
         ["train", "--delimiter", ""],
@@ -120,6 +133,7 @@ class TestExitCodes:
         ["bench", "--nodes", "1"],
         ["bench", "--batch-size", "0"],
         ["bench", "--repeats", "0"],
+        ["bench", "--events", "0"],
         ["oracle-check", "--seed", "-1"],
         ["oracle-check", "--max-nodes", "3"],
         ["oracle-check", "--max-events", "5"],

@@ -78,6 +78,22 @@ class TestLoadEvents:
                            match=f"^line {line}: node id {node} is negative$"):
             load_events(write(tmp_path, text))
 
+    @pytest.mark.parametrize("text,error,message", [
+        # a later malformed row outranks an earlier negative id
+        ("0,1,1\n-2,1,2\n1,x,3\n", ParseError,
+         "line 3: could not convert string to float: 'x'"),
+        ("0,1,1\n-2,1,2\n1,2\n", SchemaError,
+         "line 3: expected 3 columns, got 2"),
+        # a negative id outranks a non-finite timestamp
+        ("0,1,1\n-2,1,2\n1,2,inf\n", ParseError,
+         "line 2: node id -2 is negative"),
+    ])
+    def test_error_precedence(self, tmp_path, text, error, message):
+        with pytest.raises(error) as info:
+            load_events(write(tmp_path, text))
+        assert type(info.value) is error
+        assert str(info.value).endswith(message)
+
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         # the header is the first non-blank row and sets no arity; the
         # first data row does, and line numbers count blank lines

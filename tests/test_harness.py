@@ -269,10 +269,9 @@ class TestTrainEpoch:
         pred = LinkPredictor(dims, cfg.dropout)
         ft = feature_tables(g, cfg)
         pool = destination_pool_for_training(g, split)
-        m = train_epoch(g, split, tdm, hist, pred, params, adam_init(params),
-                        cfg, 0, ft, pool)
-        assert np.isfinite(m.loss)
-        assert 0.0 <= m.ap <= 1.0 and 0.0 <= m.auc <= 1.0
+        loss = train_epoch(g, split, tdm, hist, pred, params,
+                           adam_init(params), cfg, 0, ft, pool)
+        assert isinstance(loss, float) and np.isfinite(loss)
 
     def test_zero_lr_leaves_parameters_unchanged(self, rand_graph):
         cfg = tiny_cfg(lr=0.0, epochs=1)
